@@ -84,7 +84,11 @@ def _parse_signal(spec: str, grid):
             return two_bump(grid, x0, xi0)
         return two_bump(grid)
     if name == "file":
-        sig = load_signal(arg)
+        try:
+            sig = load_signal(arg)
+        except (OSError, ValueError) as e:
+            # ValueError covers JSONDecodeError, bad headers and bad grids
+            raise ValidationError(f"cannot read signal file {arg!r}: {e}") from e
         if sig.grid.axes != grid.axes:
             raise ValidationError("signal file grid does not match the configured grid")
         return sig

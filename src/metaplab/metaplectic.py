@@ -20,7 +20,9 @@ from .signals import (
     GridSignal,
     PhaseSpaceField,
     _axes_of,
+    _axis_scale,
     _rebuild,
+    centered_dft,
     chirp_guard,
     chirp_multiply,
     chirp_phase,
@@ -109,12 +111,6 @@ class GeneratorChain:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-
-def _eye_like(n: int, v) -> np.ndarray:
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    assert v.shape == (n, n)
-    return v
 
 
 def _is_zero(M, tol=_FREE_EPS) -> bool:
@@ -394,10 +390,11 @@ def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorCha
 
 def _fourier_any(obj, inverse: bool = False):
     if isinstance(obj, GridSignal):
-        out = inverse_fourier(obj) if inverse else fourier(obj)
-        if out.grid.axes != obj.grid.axes:
+        if not all(ax.is_self_dual for ax in obj.grid.axes):
             raise GridError("metaplectic application needs self-dual axes")
-        return out
+        # the dual grid equals the input grid up to rounding of L
+        out = inverse_fourier(obj) if inverse else fourier(obj)
+        return GridSignal(obj.grid, out.values)
     return field_fourier(obj, inverse=inverse)
 
 
@@ -411,14 +408,12 @@ def conv_chirp(C, obj, path: str = "multiplier"):
     "direct": |det C|^{-1/2} (Phi_{-C^{-1}} * f) by circular convolution,
     requires invertible C; agrees with the multiplier up to a global phase.
     """
-    from .signals import chirp_phase as _chirp_phase
-
     axes = _axes_of(obj)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if path == "multiplier":
         hat = _fourier_any(obj)
         dual_axes = _axes_of(hat)
-        hat = _rebuild(hat, hat.values * _chirp_phase(dual_axes, C))
+        hat = _rebuild(hat, hat.values * chirp_phase(dual_axes, C))
         return _fourier_any(hat, inverse=True)
     if path != "direct":
         raise ValueError(f"unknown conv_chirp path {path!r}")
@@ -580,20 +575,14 @@ def chain_matrix(chain: GeneratorChain, axis: Axis) -> np.ndarray:
     out = np.eye(n, dtype=np.complex128)
     for gen in reversed(chain.generators):
         if gen.tag == "fourier":
-            from .signals import _centered_dft
-
-            out = _centered_dft(out, 0, axis.step, inverse=False)
+            out = centered_dft(out, 0, axis.step, inverse=False)
         elif gen.tag == "chirp":
             out = out * chirp_phase((axis,), gen.param)[:, None]
         elif gen.tag == "convchirp":
-            from .signals import _centered_dft
-
-            hat = _centered_dft(out, 0, axis.step, inverse=False)
+            hat = centered_dft(out, 0, axis.step, inverse=False)
             hat = hat * chirp_phase((axis,), gen.param)[:, None]
-            out = _centered_dft(hat, 0, axis.freq_step, inverse=True)
+            out = centered_dft(hat, 0, axis.freq_step, inverse=True)
         elif gen.tag == "rescale":
-            from .signals import _axis_scale
-
             l = np.atleast_2d(gen.param)[0, 0]
             out = np.sqrt(abs(l)) * _axis_scale(out, 0, axis, l)
         else:

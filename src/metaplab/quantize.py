@@ -19,7 +19,11 @@ from .signals import (
     GridError,
     GridSignal,
     PhaseSpaceField,
+    centered_dft,
+    chirp_phase,
     eval_trig,
+    field_fourier,
+    spectral_coefficients,
     upsample2,
 )
 from .symplectic import (
@@ -101,8 +105,6 @@ class SymbolGrid:
         # two-stage 1-D interpolation: first along x at needed xi columns
         rows = eval_trig(self.values, 0, self.x_axis, xb)  # (npts, n_xi)
         E = np.exp(2j * np.pi * yb[:, None] * self.xi_axis.freqs()[None, :])
-        from .signals import spectral_coefficients
-
         coeff = spectral_coefficients(rows, 1, self.xi_axis)
         out = np.sum(coeff * E, axis=1)
         return out.reshape(shape)
@@ -171,7 +173,7 @@ def _symbol_half_samples(a: SymbolGrid, ax: Axis) -> np.ndarray:
     if a.func is not None:
         X, Y = np.meshgrid(_half_points(ax), a.xi_axis.points(), indexing="ij")
         return np.asarray(a.func(X, Y), dtype=np.complex128)
-    return upsample2(a.values, 0, a.x_axis)
+    return upsample2(a.values, 0)
 
 
 def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> DenseOperator:
@@ -190,10 +192,8 @@ def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> 
     n = ax.n
     if n > SIGNAL_N_GUARD:
         raise GridError(f"weyl guard: N <= {SIGNAL_N_GUARD}")
-    from .signals import _centered_dft
-
     half = _symbol_half_samples(a, ax)  # (2n, n_xi)
-    B = _centered_dft(half, 1, a.xi_axis.step, inverse=True)  # lags on the x grid
+    B = centered_dft(half, 1, a.xi_axis.step, inverse=True)  # lags on the x grid
     k = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     K = B[k + m, (k - m + n // 2) % n]
@@ -202,25 +202,22 @@ def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> 
     return DenseOperator(ax.step * K, (ax,), "signal")
 
 
-def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis]) -> DenseOperator:
+def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int = FIELD_N_GUARD) -> DenseOperator:
     """Weyl quantization acting on phase-space fields.
 
     `b` has shape (n1, n2, n1, n2) with slots (x, xi, u, v): position pair
-    first, frequency pair second.
+    first, frequency pair second.  `n_guard` caps the points per axis.
     """
     n1, n2 = axes[0].n, axes[1].n
-    import metaplab.quantize as _q
-    if max(n1, n2) > _q.FIELD_N_GUARD:
-        raise GridError(f"weyl_4d guard: N <= {_q.FIELD_N_GUARD} per axis")
+    if max(n1, n2) > n_guard:
+        raise GridError(f"weyl_4d guard: N <= {n_guard} per axis")
     if b.shape != (n1, n2, n1, n2):
         raise GridError("4d symbol shape mismatch")
-    from .signals import _centered_dft
-
-    # midpoint oversampling per position axis, then lag transform per
-    # frequency axis
-    b_up = upsample2(upsample2(np.asarray(b, dtype=np.complex128), 0, axes[0]), 1, axes[1])
-    B = _centered_dft(b_up, 2, axes[0].freq_step, inverse=True)
-    B = _centered_dft(B, 3, axes[1].freq_step, inverse=True)
+    # lag transform over both frequency slots, then midpoint oversampling
+    # over both position slots: the two act on disjoint axes and commute, so
+    # the lag transform runs before the padding, on the n^4 array
+    B = centered_dft(b, (2, 3), (axes[0].freq_step, axes[1].freq_step), inverse=True)
+    B = upsample2(B, (0, 1))
     k1 = np.arange(n1)[:, None, None, None]
     k2 = np.arange(n2)[None, :, None, None]
     m1 = np.arange(n1)[None, None, :, None]
@@ -228,8 +225,8 @@ def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis]) -> DenseOperator:
     K = B[k1 + m1, k2 + m2, (k1 - m1 + n1 // 2) % n1, (k2 - m2 + n2 // 2) % n2]
     # no lag mask here: field-side kernels (e.g. of pullback symbols constant
     # along phase-space lines) genuinely do not decay in the lag variables
-    mat = (axes[0].step * axes[1].step) * K.reshape(n1 * n2, n1 * n2)
-    return DenseOperator(mat, axes, "field")
+    K *= axes[0].step * axes[1].step
+    return DenseOperator(K.reshape(n1 * n2, n1 * n2), axes, "field")
 
 
 def inverse_weyl(op: DenseOperator) -> PhaseSpaceField:
@@ -245,8 +242,6 @@ def inverse_weyl(op: DenseOperator) -> PhaseSpaceField:
     """
     if op.kind != "signal":
         raise GridError("inverse_weyl handles signal-side operators")
-    from .signals import _centered_dft
-
     ax = op.axes[0]
     n = ax.n
     # the inverse pairs with the lag-truncated forward: drop wrap entries
@@ -269,7 +264,7 @@ def inverse_weyl(op: DenseOperator) -> PhaseSpaceField:
     E_syn = np.exp(1j * np.pi * np.outer(p, r) / n)
     B_full = E_syn @ yhat  # [p, q]
     # invert the lag transform per midpoint row, keep the original-grid rows
-    a_up = _centered_dft(B_full, 1, ax.step, inverse=False)
+    a_up = centered_dft(B_full, 1, ax.step, inverse=False)
     vals = a_up[::2, :]
     return PhaseSpaceField(ax, ax.dual(), vals)
 
@@ -307,20 +302,21 @@ def _symbol_variant(a: SymbolGrid, variant: str) -> Callable:
     raise ValueError(f"unknown symbol variant {variant!r}")
 
 
-def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis]) -> np.ndarray:
+def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis],
+                    n_guard: int = FIELD_N_GUARD) -> np.ndarray:
     """Sampled 4-D symbol (sigma-variant) composed with A^{-1}.
 
     variant "b": (a x 1) o A^{-1};  "bt": the conjugate-slot analogue;
     "c": the product b * bt.  Output shape (n1, n2, n1, n2) on slots
-    (x, xi, u, v).
+    (x, xi, u, v).  `n_guard` caps the points per axis.
     """
     if variant == "c":
-        return symbol_pullback(A, a, "b", axes) * symbol_pullback(A, a, "bt", axes)
+        return (symbol_pullback(A, a, "b", axes, n_guard)
+                * symbol_pullback(A, a, "bt", axes, n_guard))
     A = sympl(A)
     n1, n2 = axes[0].n, axes[1].n
-    import metaplab.quantize as _q
-    if max(n1, n2) > _q.FIELD_N_GUARD:
-        raise GridError(f"pullback guard: N <= {_q.FIELD_N_GUARD} per axis")
+    if max(n1, n2) > n_guard:
+        raise GridError(f"pullback guard: N <= {n_guard} per axis")
     src = _symbol_variant(a, variant)
     x = axes[0].points()[:, None, None, None]
     xi = axes[1].points()[None, :, None, None]
@@ -378,17 +374,7 @@ def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal,
     of the fields themselves (about 3.5e-6 at N = 32); `n_guard` lifts the
     4d size guard for demonstration runs on finer grids.
     """
-    global FIELD_N_GUARD
-    old_guard = FIELD_N_GUARD
-    if n_guard is not None:
-        FIELD_N_GUARD = max(FIELD_N_GUARD, n_guard)
-    try:
-        return _conjugation_check_inner(A, a, f, g)
-    finally:
-        FIELD_N_GUARD = old_guard
-
-
-def _conjugation_check_inner(A, a: SymbolGrid, f: GridSignal, g: GridSignal) -> dict:
+    guard = FIELD_N_GUARD if n_guard is None else max(FIELD_N_GUARD, n_guard)
     A = sympl(A)
     form = CovariantForm.from_matrix(A)
     ax = f.grid.axes[0]
@@ -396,26 +382,24 @@ def _conjugation_check_inner(A, a: SymbolGrid, f: GridSignal, g: GridSignal) -> 
     op = weyl(a, ax)
     Op_f = op(f)
     Op_g = op(g)
-    out = {}
     W_fg = wigner_A_covariant(form, f, g)
-    for variant, lhs_pair in (
-        ("b", (Op_f, g)),
-        ("bt", (f, Op_g)),
-    ):
-        lhs = wigner_A_covariant(form, *lhs_pair)
-        big = weyl_4d(symbol_pullback(A, a, variant, axes), axes)
-        rhs = big(W_fg)
-        out[variant] = float(
+
+    def residual(symbol: np.ndarray, lhs: PhaseSpaceField, W: PhaseSpaceField) -> float:
+        rhs = weyl_4d(symbol, axes, guard)(W)
+        return float(
             np.linalg.norm((lhs.values - rhs.values).ravel())
             / np.linalg.norm(lhs.values.ravel())
         )
-    lhs = wigner_A_covariant(form, Op_f, Op_f)
-    big = weyl_4d(symbol_pullback(A, a, "c", axes), axes)
-    rhs = big(wigner_A_covariant(form, f, f))
-    out["c"] = float(
-        np.linalg.norm((lhs.values - rhs.values).ravel())
-        / np.linalg.norm(lhs.values.ravel())
-    )
+
+    # each pullback is evaluated once; (c) quantizes their product
+    out = {}
+    b = symbol_pullback(A, a, "b", axes, guard)
+    out["b"] = residual(b, wigner_A_covariant(form, Op_f, g), W_fg)
+    bt = symbol_pullback(A, a, "bt", axes, guard)
+    out["bt"] = residual(bt, wigner_A_covariant(form, f, Op_g), W_fg)
+    c = b * bt
+    del b, bt
+    out["c"] = residual(c, wigner_A_covariant(form, Op_f, Op_f), wigner_A_covariant(form, f, f))
     return out
 
 
@@ -430,8 +414,6 @@ def op_A_covariant_integral(form: CovariantForm, a: SymbolGrid, ax: Axis) -> Den
     """
     if ax.n > 64:
         raise GridError("covariant integral cross-check limited to N <= 64")
-    from .signals import _centered_dft, chirp_phase, field_fourier
-
     a11 = float(form.a11[0, 0])
     C = np.diag([float(form.a13[0, 0]), -float(form.a21[0, 0])])
     field = a.sample()
@@ -439,9 +421,7 @@ def op_A_covariant_integral(form: CovariantForm, a: SymbolGrid, ax: Axis) -> Den
     hat = hat.with_values(hat.values * chirp_phase((hat.x_axis, hat.xi_axis), C))
     smoothed = field_fourier(hat, inverse=True)
     # lag transform of the smoothed symbol in xi
-    B = _centered_dft(
-        upsample2(smoothed.values, 0, ax), 1, field.xi_axis.step, inverse=True
-    )
+    B = centered_dft(upsample2(smoothed.values, 0), 1, field.xi_axis.step, inverse=True)
     n = ax.n
     x = ax.points()[:, None]
     y = ax.points()[None, :]

@@ -94,12 +94,35 @@ def save_signal(path, sig: GridSignal) -> None:
     _write_complex(_with_ext(base, ".bin"), sig.values)
 
 
+def _read_header(base: Path, kind: str, keys=("axes",)) -> dict:
+    """The JSON header of `base`, checked for its kind and its keys."""
+    header = json.loads(_with_ext(base, ".json").read_text())
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise ValueError(f"{base}: not a {kind} header")
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"{base}: {kind} header has no {key!r}")
+    return header
+
+
+def _axes_from_header(base: Path, header: dict) -> tuple[Axis, ...]:
+    entries = header["axes"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{base}: header 'axes' must be a list")
+    for i, entry in enumerate(entries):
+        for key in ("N", "L"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{base}: header axis {i} has no {key!r}")
+        # exact types: bool is an int subclass but no grid size
+        if type(entry["N"]) is not int or type(entry["L"]) not in (int, float):
+            raise ValueError(f"{base}: header axis {i} needs an integer 'N' and a number 'L'")
+    return tuple(Axis(entry["N"], entry["L"]) for entry in entries)
+
+
 def load_signal(path) -> GridSignal:
     base = Path(path)
-    header = json.loads(_with_ext(base, ".json").read_text())
-    if header.get("kind") != "signal":
-        raise ValueError(f"{base}: not a signal header")
-    axes = tuple(Axis(a["N"], a["L"]) for a in header["axes"])
+    header = _read_header(base, "signal")
+    axes = _axes_from_header(base, header)
     count = int(np.prod([ax.n for ax in axes]))
     vals = _read_complex(_with_ext(base, ".bin"), count)
     return GridSignal(Grid(axes), vals.reshape([ax.n for ax in axes]))
@@ -119,11 +142,11 @@ def save_field(path, F: PhaseSpaceField) -> None:
 
 def load_field(path) -> PhaseSpaceField:
     base = Path(path)
-    header = json.loads(_with_ext(base, ".json").read_text())
-    if header.get("kind") != "field":
-        raise ValueError(f"{base}: not a field header")
-    ax1 = Axis(header["axes"][0]["N"], header["axes"][0]["L"])
-    ax2 = Axis(header["axes"][1]["N"], header["axes"][1]["L"])
+    header = _read_header(base, "field")
+    axes = _axes_from_header(base, header)
+    if len(axes) != 2:
+        raise ValueError(f"{base}: field header needs two axes, got {len(axes)}")
+    ax1, ax2 = axes
     vals = _read_complex(_with_ext(base, ".bin"), ax1.n * ax2.n)
     return PhaseSpaceField(ax1, ax2, vals.reshape(ax1.n, ax2.n))
 
@@ -142,12 +165,10 @@ def save_operator_matrix(path, matrix: np.ndarray, axes) -> None:
 
 def load_operator_matrix(path) -> tuple[np.ndarray, tuple[Axis, ...]]:
     base = Path(path)
-    header = json.loads(_with_ext(base, ".json").read_text())
-    if header.get("kind") != "operator":
-        raise ValueError(f"{base}: not an operator header")
+    header = _read_header(base, "operator", ("shape", "axes"))
     shape = tuple(header["shape"])
     vals = _read_complex(_with_ext(base, ".bin"), int(np.prod(shape)))
-    axes = tuple(Axis(a["N"], a["L"]) for a in header["axes"])
+    axes = _axes_from_header(base, header)
     return vals.reshape(shape), axes
 
 

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
+
+from ._threads import max_workers
 
 __all__ = [
     "Axis",
@@ -226,73 +229,91 @@ def _rebuild(obj, values, axes=None):
 # centered DFT machinery
 
 
-def _centered_dft(values: np.ndarray, axis: int, step: float, inverse: bool) -> np.ndarray:
+def _sign_pattern(shape: tuple[int, ...], axes: tuple[int, ...], scale: float) -> np.ndarray:
+    """scale * prod_a (-1)^{k_a} over `axes`, broadcastable against `shape`."""
+    out = np.array(scale)
+    for a in axes:
+        s = np.ones(shape[a])
+        s[1::2] = -1.0
+        view = [1] * len(shape)
+        view[a] = -1
+        out = out * s.reshape(view)
+    return out
+
+
+def centered_dft(values: np.ndarray, axes, steps, inverse: bool) -> np.ndarray:
     """DFT matching the continuum transform on centered grids.
 
     Forward computes step * sum_k v_k exp(-2 pi i xi_j x_k); inverse computes
-    step * sum_j v_j exp(+2 pi i xi_j x_k).  Composing forward (with space
-    step) and inverse (with frequency step) is the identity because
+    step * sum_j v_j exp(+2 pi i xi_j x_k), over one axis (int `axes`, float
+    `steps`) or several at once (matching tuples).  Composing forward (with
+    space step) and inverse (with frequency step) is the identity because
     N dx dxi = 1.
+
+    The centred indices j - N/2, k - N/2 enter only through the sign identity
+    exp(-2 pi i (j - N/2)(k - N/2)/N) = (-1)^{N/2} (-1)^j (-1)^k
+    exp(-2 pi i jk/N) for even N, so the transform is
+    (-1)^{N/2} s * F(s * v) with s_k = (-1)^k and no shifted copies.
     """
-    shifted = np.fft.ifftshift(values, axes=axis)
-    if inverse:
-        n = values.shape[axis]
-        out = np.fft.ifft(shifted, axis=axis) * (step * n)
-    else:
-        out = np.fft.fft(shifted, axis=axis) * step
-    return np.fft.fftshift(out, axes=axis)
+    if isinstance(axes, (int, np.integer)):
+        axes, steps = (axes,), (steps,)
+    scale = 1.0
+    for a, step in zip(axes, steps, strict=True):
+        n = values.shape[a]
+        assert n % 2 == 0, "centered DFT needs even lengths"
+        scale *= (-1.0) ** (n // 2) * step * (n if inverse else 1)
+    transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
+    signed = values * _sign_pattern(values.shape, axes, 1.0)
+    out = transform(signed, axes=axes, overwrite_x=True, workers=max_workers())
+    out *= _sign_pattern(values.shape, axes, scale)
+    return out
+
+
+def _grid_dft(f: GridSignal, inverse: bool) -> GridSignal:
+    axes = f.grid.axes
+    steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
+    vals = centered_dft(f.values, tuple(range(len(axes))), steps, inverse)
+    return GridSignal(Grid(tuple(ax.dual() for ax in axes)), vals)
 
 
 def fourier(f: GridSignal) -> GridSignal:
     """Unitary Fourier transform onto the dual grid (same grid when self-dual)."""
-    vals = f.values
-    axes = []
-    for i, ax in enumerate(f.grid.axes):
-        vals = _centered_dft(vals, i, ax.step, inverse=False)
-        axes.append(ax.dual())
-    return GridSignal(Grid(tuple(axes)), vals)
+    return _grid_dft(f, inverse=False)
 
 
 def inverse_fourier(f: GridSignal) -> GridSignal:
-    vals = f.values
-    axes = []
-    for i, ax in enumerate(f.grid.axes):
-        vals = _centered_dft(vals, i, ax.freq_step, inverse=True)
-        axes.append(ax.dual())
-    return GridSignal(Grid(tuple(axes)), vals)
+    return _grid_dft(f, inverse=True)
 
 
 def field_fourier(F: PhaseSpaceField, inverse: bool = False) -> PhaseSpaceField:
     """Full 2-D transform of a phase-space field (self-dual axes required)."""
-    for ax in (F.x_axis, F.xi_axis):
+    axes = (F.x_axis, F.xi_axis)
+    for ax in axes:
         if not ax.is_self_dual:
             raise GridError("field transforms need self-dual axes")
-    vals = F.values
-    for i, ax in enumerate((F.x_axis, F.xi_axis)):
-        step = ax.freq_step if inverse else ax.step
-        vals = _centered_dft(vals, i, step, inverse)
-    return F.with_values(vals)
+    steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
+    return F.with_values(centered_dft(F.values, (0, 1), steps, inverse))
 
 
 def partial_fourier_2(F: PhaseSpaceField) -> PhaseSpaceField:
     """DFT along the second axis only, same normalization as `fourier`."""
-    vals = _centered_dft(F.values, 1, F.xi_axis.step, inverse=False)
+    vals = centered_dft(F.values, 1, F.xi_axis.step, inverse=False)
     return PhaseSpaceField(F.x_axis, F.xi_axis.dual(), vals)
 
 
 def inverse_partial_fourier_2(F: PhaseSpaceField) -> PhaseSpaceField:
-    vals = _centered_dft(F.values, 1, F.xi_axis.freq_step, inverse=True)
+    vals = centered_dft(F.values, 1, F.xi_axis.freq_step, inverse=True)
     return PhaseSpaceField(F.x_axis, F.xi_axis.dual(), vals)
 
 
 def spectral_coefficients(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
     """Coefficients c_j with f(t) = sum_j c_j exp(2 pi i xi_j t) along `axis`."""
-    return _centered_dft(values, axis, ax.step, inverse=False) * ax.freq_step
+    return centered_dft(values, axis, ax.step * ax.freq_step, inverse=False)
 
 
 def synthesize(coeff: np.ndarray, axis: int) -> np.ndarray:
     """Samples on the centered grid from trig coefficients (inverse of the above)."""
-    return _centered_dft(coeff, axis, 1.0, inverse=True)
+    return centered_dft(coeff, axis, 1.0, inverse=True)
 
 
 def eval_trig(values: np.ndarray, axis: int, ax: Axis, points: np.ndarray) -> np.ndarray:
@@ -313,12 +334,40 @@ def shift_spectral(values: np.ndarray, axis: int, ax: Axis, amount: float) -> np
     return synthesize(coeff * ramp.reshape(shape), axis)
 
 
-def upsample2(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
-    """Exact 2x trigonometric upsampling (step halves, window unchanged)."""
-    coeff = spectral_coefficients(values, axis, ax)
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (ax.n // 2, ax.n // 2)
-    return synthesize(np.pad(coeff, pad), axis)
+def _zero_pad_spectrum(spec: np.ndarray, axis: int) -> np.ndarray:
+    """Natural-order spectrum of length 2N: N zeros between the halves."""
+    n = spec.shape[axis]
+    shape = list(spec.shape)
+    shape[axis] = 2 * n
+    out = np.zeros(shape, dtype=spec.dtype)
+    src = [slice(None)] * spec.ndim
+    dst = list(src)
+    src[axis] = dst[axis] = slice(0, n // 2)
+    out[tuple(dst)] = spec[tuple(src)]
+    src[axis], dst[axis] = slice(n // 2, n), slice(n + n // 2, 2 * n)
+    out[tuple(dst)] = spec[tuple(src)]
+    return out
+
+
+def upsample2(values: np.ndarray, axes) -> np.ndarray:
+    """Exact 2x trigonometric upsampling along `axes` (step halves, window unchanged).
+
+    Works in natural FFT order, 2^k ifftn(pad(fftn(v))) over k axes: the
+    zeros go between the non-negative and the negative frequencies, so the
+    Nyquist term stays at -N/2.  The centred-grid phases cancel between
+    analysis and synthesis, so no signs or shifts are needed.  Each axis is
+    padded just before its own synthesis, so earlier syntheses run on the
+    smaller array.
+    """
+    axes = (axes,) if isinstance(axes, (int, np.integer)) else tuple(axes)
+    workers = max_workers()
+    # "forward" normalization scales analysis by 1/N and leaves synthesis
+    # unscaled: exactly the 2^k / (2N)^k the padded transform needs
+    out = scipy.fft.fftn(values, axes=axes, norm="forward", workers=workers)
+    for a in axes:
+        out = scipy.fft.ifft(_zero_pad_spectrum(out, a), axis=a, norm="forward",
+                             overwrite_x=True, workers=workers)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +649,7 @@ def smooth_noise(grid: Grid, rng: np.random.Generator, bandwidth: float = 0.08,
     ax = grid.axes[0]
     spec = rng.standard_normal(ax.n) + 1j * rng.standard_normal(ax.n)
     spec *= np.exp(-0.5 * (ax.freqs() / (bandwidth * ax.freq_half_width)) ** 2)
-    vals = _centered_dft(spec, 0, ax.freq_step, inverse=True)
+    vals = centered_dft(spec, 0, ax.freq_step, inverse=True)
     vals *= np.exp(-0.5 * (ax.points() / (envelope * ax.half_width)) ** 2)
     sig = GridSignal(grid, vals)
     return sig.with_values(sig.values / sig.norm())

@@ -20,6 +20,7 @@ from .signals import (
     GridError,
     GridSignal,
     PhaseSpaceField,
+    centered_dft,
     chirp_guard,
     chirp_phase,
     conjugate,
@@ -72,19 +73,17 @@ def wigner_of_kernel(K: np.ndarray, ax: Axis) -> np.ndarray:
     periodization.  This is also the inverse of the Weyl kernel construction
     on band-limited data.
     """
-    from .signals import _centered_dft
-
     n = ax.n
     if K.shape != (n, n):
         raise GridError("kernel shape must match the axis")
-    K_up = upsample2(upsample2(np.asarray(K, dtype=np.complex128), 0, ax), 1, ax)
+    K_up = upsample2(np.asarray(K, dtype=np.complex128), (0, 1))
     k = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     # s_m = (m - n/2) * dx / 2: x + s and x - s on the half-step grid
     p = (2 * k + m - n // 2) % (2 * n)
     q = (2 * k - m + n // 2) % (2 * n)
     corr = K_up[p, q]
-    return _centered_dft(corr, 1, ax.step, inverse=False)
+    return centered_dft(corr, 1, ax.step, inverse=False)
 
 
 def wigner_cross(f: GridSignal, g: GridSignal) -> PhaseSpaceField:
@@ -103,9 +102,7 @@ def _shift_bank(values: np.ndarray, ax: Axis, amounts: np.ndarray) -> np.ndarray
 
 def _eta_dft(P: np.ndarray, ax: Axis) -> np.ndarray:
     """step * sum_m P[:, m] e^{-2 pi i eta_m xi_j}: centered DFT on axis 1."""
-    from .signals import _centered_dft
-
-    return _centered_dft(P, 1, ax.step, inverse=False)
+    return centered_dft(P, 1, ax.step, inverse=False)
 
 
 def tau_wigner(f: GridSignal, g: GridSignal, tau: float) -> PhaseSpaceField:
@@ -128,9 +125,7 @@ def stft(f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     k = np.arange(n)[None, :]
     G_sh = g.values[(m - k + n // 2) % n]
     P = f.values[:, None] * np.conj(G_sh)
-    from .signals import _centered_dft
-
-    V = _centered_dft(P, 0, ax.step, inverse=False)  # (j, k)
+    V = centered_dft(P, 0, ax.step, inverse=False)  # (j, k)
     return PhaseSpaceField(ax, ax.dual(), V.T)
 
 
@@ -165,12 +160,10 @@ def wigner_A_covariant(form: CovariantForm, f: GridSignal, g: GridSignal) -> Pha
         P = P * np.exp(1j * np.pi * a21 * eta ** 2)[None, :]
     if a13 != 0.0:
         # convolution by the transformed chirp in x: multiplier Phi_{-A13}
-        from .signals import _centered_dft
-
-        hat = _centered_dft(P, 0, ax.step, inverse=False)
+        hat = centered_dft(P, 0, ax.step, inverse=False)
         chirp_guard((ax.dual(),), -a13)
         hat *= np.exp(-1j * np.pi * a13 * ax.dual().points() ** 2)[:, None]
-        P = _centered_dft(hat, 0, ax.freq_step, inverse=True)
+        P = centered_dft(hat, 0, ax.freq_step, inverse=True)
     W = _eta_dft(P, ax)
     return PhaseSpaceField(ax, ax.dual(), W)
 

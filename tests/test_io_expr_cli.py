@@ -165,6 +165,48 @@ def test_cli_evolve_with_sigma(tmp_path):
     assert abs(float(lines[1].split(",")[1]) - 1.0) <= 1e-8
 
 
+def test_cli_evolve_check_tau_irrational_grid(tmp_path):
+    # N = 128 is self-dual with irrational L = sqrt(128)/2
+    rc = main(["evolve", "--n", "128", "--times", "0.05", "--check-tau", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    resid = (tmp_path / "transport_residuals.csv").read_text().splitlines()
+    values = [float(r.split(",")[1]) for r in resid[1:]]
+    assert values and all(np.isfinite(v) and v <= 1e-5 for v in values)
+
+
+def test_cli_signal_file_missing(tmp_path, capsys):
+    rc = main(["wigner", "--signal", f"file:{tmp_path / 'nosuch'}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cannot read signal file" in capsys.readouterr().err
+
+
+def test_cli_signal_file_bad_header(tmp_path, capsys):
+    (tmp_path / "sig.json").write_text(json.dumps({"kind": "signal", "dim": 1}))
+    (tmp_path / "sig.bin").write_bytes(b"")
+    rc = main(["wigner", "--signal", f"file:{tmp_path / 'sig'}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "'axes'" in capsys.readouterr().err
+    (tmp_path / "sig.json").write_text("{not json")
+    rc = main(["wigner", "--signal", f"file:{tmp_path / 'sig'}", "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_loaders_name_the_missing_header_key(tmp_path):
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "signal"}))
+    with pytest.raises(ValueError, match="'axes'"):
+        load_signal(tmp_path / "s")
+    (tmp_path / "f.json").write_text(json.dumps({"kind": "field", "axes": [{"N": 16}]}))
+    with pytest.raises(ValueError, match="'L'"):
+        load_field(tmp_path / "f")
+    (tmp_path / "g.json").write_text(json.dumps({"kind": "field", "axes": [{"N": 16, "L": 2.0}]}))
+    with pytest.raises(ValueError, match="two axes"):
+        load_field(tmp_path / "g")
+    (tmp_path / "t.json").write_text(json.dumps({"kind": "signal", "axes": [{"N": "16", "L": 2.0}]}))
+    with pytest.raises(ValueError, match="integer 'N'"):
+        load_signal(tmp_path / "t")
+
+
 def test_cli_gaborscan(tmp_path):
     rc = main(["gaborscan", "--operator", "fourier", "--window", "gaussian",
                "--lattice", "0.5,0.5,4", "--out", str(tmp_path)])

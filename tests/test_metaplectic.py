@@ -79,6 +79,19 @@ def test_apply_identity_and_J(grid256, phi):
     assert np.max(np.abs(out.values - phi.values)) <= 1e-12
 
 
+def test_apply_J_on_irrational_self_dual_grid():
+    # L = sqrt(128)/2 is irrational: the dual axis equals the grid only up
+    # to rounding of L, and the result stays on the input grid
+    grid = default_grid(128)
+    f = gaussian(grid, center=0.5, freq=-1.0)
+    out = apply(SymplecticMatrix(standard_J(1)), f)
+    assert out.grid == grid
+    assert np.max(np.abs(out.values - fourier(f).values)) <= 1e-12
+    assert abs(out.norm() - f.norm()) <= 1e-12
+    M = dense_matrix(SymplecticMatrix(standard_J(1)), grid.axes[0])
+    assert np.max(np.abs(M @ f.values - out.values)) <= 1e-12
+
+
 def test_apply_vs_quadrature_free_matrices(grid256, rng):
     f = smooth_noise(grid256, rng)
     shear = SymplecticMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -1,7 +1,9 @@
 """Quantization: Weyl matrices, requantization, pullbacks, conjugation identities."""
 
 import numpy as np
+import pytest
 
+import metaplab.quantize as quantize
 from metaplab.quantize import (
     SymbolGrid,
     conjugation_check,
@@ -15,6 +17,7 @@ from metaplab.quantize import (
     weyl_4d,
 )
 from metaplab.signals import (
+    GridError,
     default_grid,
     fourier,
     gaussian,
@@ -229,6 +232,60 @@ def test_conjugation_identities_spectral():
     )
     res = conjugation_check(tau_matrix(0.5), a, f, g, n_guard=48)
     assert max(res.values()) <= 1e-6, res
+
+
+def test_conjugation_guard_lift_is_local():
+    # n_guard lifts the 4d size guard for that call only
+    grid = default_grid(48)
+    ax = grid.axes[0]
+    before = quantize.FIELD_N_GUARD
+    res = conjugation_check(tau_matrix(0.5), SymbolGrid.constant(1.0, ax),
+                            gaussian(grid), hermite(grid, 1), n_guard=48)
+    assert max(res.values()) <= 1e-10
+    assert quantize.FIELD_N_GUARD == before
+    axes = (ax, ax.dual())
+    with pytest.raises(GridError):
+        weyl_4d(np.ones((48,) * 4, dtype=complex), axes)
+    with pytest.raises(GridError):
+        symbol_pullback(tau_matrix(0.5), SymbolGrid.constant(1.0, ax), "b", axes)
+
+
+def _shift_dft(values, axis, step, inverse):
+    """Centred DFT through explicit shifts (reference route)."""
+    shifted = np.fft.ifftshift(values, axes=axis)
+    if inverse:
+        out = np.fft.ifft(shifted, axis=axis) * (step * values.shape[axis])
+    else:
+        out = np.fft.fft(shifted, axis=axis) * step
+    return np.fft.fftshift(out, axes=axis)
+
+
+def _weyl_4d_per_axis(b, axes):
+    """The 4d Weyl matrix built one axis at a time through shifted DFTs."""
+    n1, n2 = axes[0].n, axes[1].n
+    up = b
+    for axis in (0, 1):
+        # midpoint oversampling: zero-pad the centred spectrum
+        n = up.shape[axis]
+        pad = [(0, 0)] * 4
+        pad[axis] = (n // 2, n // 2)
+        coeff = np.pad(_shift_dft(up, axis, 1.0 / n, inverse=False), pad)
+        up = _shift_dft(coeff, axis, 1.0, inverse=True)
+    B = _shift_dft(up, 2, axes[0].freq_step, inverse=True)
+    B = _shift_dft(B, 3, axes[1].freq_step, inverse=True)
+    k1, k2, m1, m2 = np.ix_(np.arange(n1), np.arange(n2), np.arange(n1), np.arange(n2))
+    K = B[k1 + m1, k2 + m2, (k1 - m1 + n1 // 2) % n1, (k2 - m2 + n2 // 2) % n2]
+    return (axes[0].step * axes[1].step) * K.reshape(n1 * n2, n1 * n2)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_weyl_4d_matches_per_axis_route(n):
+    ax = default_grid(n).axes[0]
+    axes = (ax, ax.dual())
+    b = symbol_pullback(tau_matrix(0.3), atilted_symbol(ax), "b", axes)
+    want = _weyl_4d_per_axis(b, axes)
+    got = weyl_4d(b, axes).matrix
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_conjugation_A6_real_for_self_adjoint():

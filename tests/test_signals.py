@@ -1,5 +1,8 @@
 """Grid transforms against brute-force quadrature of the defining integrals."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from metaplab.signals import (
     GridSignal,
     PhaseSpaceField,
     SamplingError,
+    centered_dft,
     chirp_multiply,
     conjugate,
     default_grid,
@@ -202,7 +206,7 @@ def test_eval_trig_and_upsample(grid256, phi):
     got = eval_trig(phi.values, 0, ax, pts)
     want = 2.0 ** 0.25 * np.exp(-np.pi * pts ** 2)
     assert np.max(np.abs(got - want)) <= 1e-12
-    fine = upsample2(phi.values, 0, ax)
+    fine = upsample2(phi.values, 0)
     tfine = -ax.half_width + ax.step / 2 * np.arange(2 * ax.n)
     assert np.max(np.abs(fine - 2.0 ** 0.25 * np.exp(-np.pi * tfine ** 2))) <= 1e-12
 
@@ -214,3 +218,62 @@ def test_grid_validation():
         Axis(256, -1.0)
     with pytest.raises(GridError):
         GridSignal(default_grid(64), np.zeros(65))
+
+
+def roll_dft(values, axis, step, inverse):
+    """Centred DFT through explicit shifts: the reference for `centered_dft`."""
+    shifted = np.fft.ifftshift(values, axes=axis)
+    if inverse:
+        out = np.fft.ifft(shifted, axis=axis) * (step * values.shape[axis])
+    else:
+        out = np.fft.fft(shifted, axis=axis) * step
+    return np.fft.fftshift(out, axes=axis)
+
+
+def roll_upsample2(values, axis):
+    """Centred-spectrum zero padding: the reference for `upsample2`."""
+    n = values.shape[axis]
+    coeff = roll_dft(values, axis, 1.0 / n, inverse=False)
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (n // 2, n // 2)
+    return roll_dft(np.pad(coeff, pad), axis, 1.0, inverse=True)
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((256,), (0,)),
+    ((64, 48), (0,)),
+    ((64, 48), (1,)),
+    ((64, 48), (0, 1)),
+    ((8, 6, 16, 12), (2, 3)),
+])
+def test_centered_dft_and_upsample2_match_shift_reference(shape, axes):
+    rng = np.random.default_rng(len(shape) + sum(axes))
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    steps = tuple(0.25 + 0.125 * a for a in axes)
+    for inverse in (False, True):
+        want = v
+        for a, step in zip(axes, steps):
+            want = roll_dft(want, a, step, inverse)
+        got = centered_dft(v, axes, steps, inverse)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if len(axes) == 1:
+            single = centered_dft(v, axes[0], steps[0], inverse)
+            assert np.array_equal(single, got)
+    want = v
+    for a in axes:
+        want = roll_upsample2(want, a)
+    got = upsample2(v, axes)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_only_signals_calls_the_fft():
+    # one DFT primitive: no shift copies anywhere, FFT calls only in signals.py
+    src = Path(__file__).resolve().parents[1] / "src" / "metaplab"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert not re.search(r"\b(i?fftshift)\b", text), path.name
+        if path.name != "signals.py":
+            assert not re.search(r"\b(np\.fft|numpy\.fft|scipy\.fft)\b", text), path.name
