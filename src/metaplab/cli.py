@@ -19,15 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._threads import thread_map
 from .exprparse import ExprError, compile_expression
 from .gabor import FrameError, GaborLattice, envelope_fit, gabor_matrix
 from .metaplectic import DecompositionError, dense_matrix
 from .quantize import DenseOperator, SymbolGrid, weyl
 from .schrodinger import (
     Hamiltonian,
+    _flow,
     evolved_wigner_check,
-    propagate_perturbed,
+    hamiltonian_matrix,
     wavefront,
 )
 from .serial import (
@@ -221,24 +221,19 @@ def cmd_evolve(cfg: dict) -> int:
     except ValueError as e:
         raise ValidationError(f"bad times list {cfg['times']!r}") from e
     out = _out_dir(cfg)
-    from .schrodinger import hamiltonian_matrix
-
     M = hamiltonian_matrix(H, ax)
-
-    def one(t):
-        u = propagate_perturbed(H, t, u0)
-        energy = np.vdot(u.values, M @ u.values) * ax.step
-        return u, float(u.norm()), complex(energy)
-
-    results = thread_map(one, times)
     lines = ["t,norm,energy_re,energy_im"]
-    for t, (u, nrm, en) in zip(times, results):
+    norms = []
+    for t, vals in zip(times, _flow(M, u0.values, times)):
+        u = u0.with_values(vals)
+        energy = complex(np.vdot(vals, M @ vals) * ax.step)
+        norms.append(u.norm())
         save_signal(out / f"u_{fmt17(t)}", u)
-        lines.append(f"{fmt17(t)},{fmt17(nrm)},{fmt17(en.real)},{fmt17(en.imag)}")
+        lines.append(f"{fmt17(t)},{fmt17(norms[-1])},{fmt17(energy.real)},{fmt17(energy.imag)}")
     (out / "conservation.csv").write_text("\n".join(lines) + "\n")
     check_tau = cfg.get("check_tau")
     meta = {"hamiltonian": cfg["hamiltonian"], "times": times,
-            "unitarity_max_dev": max(abs(r[1] - u0.norm()) for r in results)}
+            "unitarity_max_dev": max(abs(nrm - u0.norm()) for nrm in norms)}
     if check_tau is not None and sigma is None:
         rows = ["t,residual"]
         for t in times:

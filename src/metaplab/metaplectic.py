@@ -20,23 +20,18 @@ from .signals import (
     GridSignal,
     PhaseSpaceField,
     _axes_of,
-    _axis_scale,
     _rebuild,
+    _rescale_values,
     centered_dft,
     chirp_guard,
-    chirp_multiply,
     chirp_phase,
-    field_fourier,
-    fourier,
-    inverse_fourier,
-    partial_fourier_2,
-    rescale,
 )
 from .symplectic import (
     A_FT2,
     SymplecticError,
     SymplecticMatrix,
     V_C,
+    V_C_upper,
     D_L,
     is_covariant,
     is_totally_wigner_decomposable,
@@ -86,9 +81,7 @@ class Generator:
         if self.tag == "rescale":
             return D_L(self.param)
         if self.tag == "convchirp":
-            M = np.eye(2 * n)
-            M[:n, n:] = -np.atleast_2d(self.param)
-            return M
+            return V_C_upper(self.param)
         if self.tag == "ft2":
             if n % 2 != 0:
                 raise DecompositionError("ft2 needs a 4d x 4d matrix")
@@ -388,14 +381,32 @@ def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorCha
 # application
 
 
-def _fourier_any(obj, inverse: bool = False):
-    if isinstance(obj, GridSignal):
-        if not all(ax.is_self_dual for ax in obj.grid.axes):
-            raise GridError("metaplectic application needs self-dual axes")
-        # the dual grid equals the input grid up to rounding of L
-        out = inverse_fourier(obj) if inverse else fourier(obj)
-        return GridSignal(obj.grid, out.values)
-    return field_fourier(obj, inverse=inverse)
+def _dft(values: np.ndarray, axes: tuple[Axis, ...], inverse: bool = False) -> np.ndarray:
+    """Centred DFT over the leading grid axes; self-dual grids map onto themselves."""
+    steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
+    return centered_dft(values, tuple(range(len(axes))), steps, inverse)
+
+
+def _realize(gen: Generator, values: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
+    """One chain element on samples whose leading axes are the grid `axes`.
+
+    Trailing axes are a batch, so pushing the identity through a chain gives
+    the chain's matrix column by column.
+    """
+    shape = values.shape[:len(axes)] + (1,) * (values.ndim - len(axes))
+    if gen.tag == "fourier":
+        return _dft(values, axes)
+    if gen.tag == "chirp":
+        chirp_guard(axes, gen.param)
+        return values * chirp_phase(axes, gen.param).reshape(shape)
+    if gen.tag == "rescale":
+        return _rescale_values(values, axes, gen.param)
+    if gen.tag == "convchirp":
+        hat = _dft(values, axes) * chirp_phase(axes, gen.param).reshape(shape)
+        return _dft(hat, axes, inverse=True)
+    if gen.tag == "ft2":
+        return centered_dft(values, 1, axes[1].step, inverse=False)
+    raise DecompositionError(f"unknown generator tag {gen.tag!r}")
 
 
 def conv_chirp(C, obj, path: str = "multiplier"):
@@ -411,10 +422,7 @@ def conv_chirp(C, obj, path: str = "multiplier"):
     axes = _axes_of(obj)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if path == "multiplier":
-        hat = _fourier_any(obj)
-        dual_axes = _axes_of(hat)
-        hat = _rebuild(hat, hat.values * chirp_phase(dual_axes, C))
-        return _fourier_any(hat, inverse=True)
+        return apply_generator(Generator("convchirp", C), obj)
     if path != "direct":
         raise ValueError(f"unknown conv_chirp path {path!r}")
     det = np.linalg.det(C)
@@ -422,28 +430,24 @@ def conv_chirp(C, obj, path: str = "multiplier"):
         raise SymplecticError("direct convolution path needs invertible C")
     kernel = chirp_phase(axes, -np.linalg.inv(C))
     chirp_guard(axes, -np.linalg.inv(C))
-    kern_hat = _fourier_any(_rebuild(obj, kernel))
-    f_hat = _fourier_any(obj)
-    prod = _rebuild(obj, kern_hat.values * f_hat.values)
-    out = _fourier_any(prod, inverse=True)
-    return _rebuild(obj, out.values / np.sqrt(abs(det)))
+    _require_self_dual(axes)
+    prod = _dft(kernel, axes) * _dft(obj.values, axes)
+    return _rebuild(obj, _dft(prod, axes, inverse=True) / np.sqrt(abs(det)))
 
 
 def apply_generator(gen: Generator, obj):
-    """Dispatch one chain element to its grid realization."""
-    if gen.tag == "fourier":
-        return _fourier_any(obj)
-    if gen.tag == "chirp":
-        return chirp_multiply(obj, gen.param)
-    if gen.tag == "rescale":
-        return rescale(obj, gen.param)
-    if gen.tag == "convchirp":
-        return conv_chirp(gen.param, obj)
-    if gen.tag == "ft2":
-        if not isinstance(obj, PhaseSpaceField):
-            raise GridError("ft2 acts on phase-space fields")
-        return partial_fourier_2(obj)
-    raise DecompositionError(f"unknown generator tag {gen.tag!r}")
+    """Realize one chain element on a signal or field."""
+    axes = _axes_of(obj)
+    if gen.tag in ("fourier", "convchirp"):
+        _require_self_dual(axes)
+    if gen.tag == "ft2" and not isinstance(obj, PhaseSpaceField):
+        raise GridError("ft2 acts on phase-space fields")
+    return _rebuild(obj, _realize(gen, obj.values, axes))
+
+
+def _require_self_dual(axes: tuple[Axis, ...]) -> None:
+    if not all(ax.is_self_dual for ax in axes):
+        raise GridError("metaplectic application needs self-dual axes")
 
 
 def _check_dims(A: SymplecticMatrix, obj) -> None:
@@ -452,9 +456,7 @@ def _check_dims(A: SymplecticMatrix, obj) -> None:
         raise GridError(
             f"matrix acts on {A.n} variables but data has {len(axes)} axes"
         )
-    for ax in axes:
-        if not ax.is_self_dual:
-            raise GridError("metaplectic application needs self-dual axes")
+    _require_self_dual(axes)
 
 
 def apply(A, obj):
@@ -564,27 +566,7 @@ def dense_matrix(A, axis: Axis) -> np.ndarray:
     A = sympl(A)
     if A.n != 1:
         raise GridError("dense_matrix materializes signal-side operators")
-    chain = generator_decompose(A, (axis,))
-    return chain_matrix(chain, axis)
-
-
-def chain_matrix(chain: GeneratorChain, axis: Axis) -> np.ndarray:
-    """Matrix of a 1-D chain, built by pushing the identity through the chain."""
-    n = axis.n
-    # each generator map is linear: push all identity columns through at once
-    out = np.eye(n, dtype=np.complex128)
-    for gen in reversed(chain.generators):
-        if gen.tag == "fourier":
-            out = centered_dft(out, 0, axis.step, inverse=False)
-        elif gen.tag == "chirp":
-            out = out * chirp_phase((axis,), gen.param)[:, None]
-        elif gen.tag == "convchirp":
-            hat = centered_dft(out, 0, axis.step, inverse=False)
-            hat = hat * chirp_phase((axis,), gen.param)[:, None]
-            out = centered_dft(hat, 0, axis.freq_step, inverse=True)
-        elif gen.tag == "rescale":
-            l = np.atleast_2d(gen.param)[0, 0]
-            out = np.sqrt(abs(l)) * _axis_scale(out, 0, axis, l)
-        else:
-            raise DecompositionError(f"tag {gen.tag!r} not valid on signals")
+    out = np.eye(axis.n, dtype=np.complex128)
+    for gen in reversed(generator_decompose(A, (axis,)).generators):
+        out = _realize(gen, out, (axis,))
     return out

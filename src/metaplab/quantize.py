@@ -125,13 +125,6 @@ class DenseOperator:
         if M.shape != (dim, dim):
             raise GridError(f"operator matrix shape {M.shape} does not match axes")
 
-    @property
-    def cell(self) -> float:
-        out = 1.0
-        for ax in self.axes:
-            out *= ax.step
-        return out
-
     def __call__(self, f):
         if self.kind == "signal":
             return f.with_values(self.matrix @ f.values)
@@ -330,9 +323,11 @@ def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis],
         for j in range(4):
             if inv[i, j] != 0.0:
                 acc = acc + inv[i, j] * coords[j]
-        mapped.append(acc + np.zeros((n1, n2, n1, n2)))
-    r, y, rho, eta = mapped
-    return src(r, y, rho, eta)
+        mapped.append(acc)
+    # the mapped coordinates stay broadcast; only the result is materialized
+    out = src(*mapped)
+    full = (n1, n2, n1, n2)
+    return out if out.shape == full else np.array(np.broadcast_to(out, full))
 
 
 def pullback_closed_form(A, a: SymbolGrid, axes: tuple[Axis, Axis]) -> np.ndarray:

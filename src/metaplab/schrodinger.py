@@ -21,6 +21,7 @@ from .signals import (
     GridError,
     GridSignal,
     PhaseSpaceField,
+    SamplingError,
     _compose_linear_2d,
     fourier,
     gaussian,
@@ -88,10 +89,25 @@ def hamiltonian_matrix(H: Hamiltonian, ax: Axis, tol: float = 1e-8) -> np.ndarra
     M = weyl(a_quad, ax, mask_wrap_lags=False).matrix
     if H.perturbation is not None:
         M = M + weyl(H.perturbation, ax, mask_wrap_lags=False).matrix
+    if not np.all(np.isfinite(M)):
+        raise SamplingError("Hamiltonian matrix has non-finite entries")
     herm = np.max(np.abs(M - M.conj().T))
     if herm > tol * max(1.0, np.max(np.abs(M))):
         raise GridError(f"Hamiltonian matrix is not Hermitian within tol ({herm:.2e})")
     return (M + M.conj().T) / 2.0
+
+
+def _flow(M: np.ndarray, values: np.ndarray, times) -> np.ndarray:
+    """exp(i t M) values for every t from one eigendecomposition of M.
+
+    The time axis comes first; trailing axes of `values` are a batch.  At
+    t = 0 the values come back unchanged.
+    """
+    w, V = np.linalg.eigh(M)
+    flat = values.reshape(values.shape[0], -1)
+    c = V.conj().T @ flat
+    out = [flat if t == 0.0 else V @ (np.exp(1j * t * w)[:, None] * c) for t in times]
+    return np.array(out, dtype=np.complex128).reshape((len(times),) + values.shape)
 
 
 def propagate_perturbed(H: Hamiltonian, t: float, u0: GridSignal) -> GridSignal:
@@ -101,16 +117,11 @@ def propagate_perturbed(H: Hamiltonian, t: float, u0: GridSignal) -> GridSignal:
         raise GridError("dense propagator guard: N <= 256")
     if t == 0.0:
         return u0
-    M = hamiltonian_matrix(H, ax)
-    w, V = np.linalg.eigh(M)
-    U = (V * np.exp(1j * t * w)) @ V.conj().T
-    return u0.with_values(U @ u0.values)
+    return u0.with_values(_flow(hamiltonian_matrix(H, ax), u0.values, (t,))[0])
 
 
 def perturbed_propagator_matrix(H: Hamiltonian, t: float, ax: Axis) -> np.ndarray:
-    M = hamiltonian_matrix(H, ax)
-    w, V = np.linalg.eigh(M)
-    return (V * np.exp(1j * t * w)) @ V.conj().T
+    return _flow(hamiltonian_matrix(H, ax), np.eye(ax.n), (t,))[0]
 
 
 def perturbation_symbol(H: Hamiltonian, t: float, ax: Axis) -> tuple[PhaseSpaceField, dict]:
@@ -206,10 +217,13 @@ def wigner_kernel_check(
     back_x = inv[0, 0] * X + inv[0, 1] * Y
     back_xi = inv[1, 0] * X + inv[1, 1] * Y
     cell = ax.step * ax.dual().step
+    probes = [tf_shift(u0, c) for c in centers]
+    # the probes evolve as one (n, probes) batch under one eigendecomposition
+    batch = np.stack([p.values for p in probes], axis=-1)
+    evolved = _flow(hamiltonian_matrix(H, ax), batch, (t,))[0]
     per_probe = []
-    for c in centers:
-        uc = tf_shift(u0, c)
-        ut = propagate_perturbed(H, t, uc)
+    for c, uc, vals in zip(centers, probes, evolved.T):
+        ut = uc.with_values(vals)
         R = wigner_A_covariant(form, ut, ut).values
         dist2 = (back_x - c[0]) ** 2 + (back_xi - c[1]) ** 2
         total = float(np.sum(np.abs(R) ** 2) * cell)

@@ -121,13 +121,6 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.n for ax in self.axes)
 
-    @property
-    def cell(self) -> float:
-        out = 1.0
-        for ax in self.axes:
-            out *= ax.step
-        return out
-
     def dual(self) -> "Grid":
         return Grid(tuple(ax.dual() for ax in self.axes))
 
@@ -528,19 +521,20 @@ def _compose_linear_2d(values: np.ndarray, axes, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def rescale(obj, L_mat):
-    """sqrt|det L| * F(L t) via band-limited interpolation on the same grid."""
-    axes = _axes_of(obj)
-    dim = len(axes)
-    M = _as_matrix(L_mat, dim)
+def _rescale_values(values: np.ndarray, axes: tuple[Axis, ...], L_mat) -> np.ndarray:
+    """sqrt|det L| * F(L t) on samples whose leading axes are the grid `axes`."""
+    M = _as_matrix(L_mat, len(axes))
     if np.linalg.cond(M) > RESCALE_COND_BOUND:
         raise GridError("rescale matrix condition number exceeds bound")
     scale = np.sqrt(abs(np.linalg.det(M)))
-    if dim == 1:
-        vals = _axis_scale(obj.values, 0, axes[0], M[0, 0])
-    else:
-        vals = _compose_linear_2d(obj.values, axes, M)
-    return _rebuild(obj, scale * vals)
+    if len(axes) == 1:
+        return scale * _axis_scale(values, 0, axes[0], M[0, 0])
+    return scale * _compose_linear_2d(values, axes, M)
+
+
+def rescale(obj, L_mat):
+    """sqrt|det L| * F(L t) via band-limited interpolation on the same grid."""
+    return _rebuild(obj, _rescale_values(obj.values, _axes_of(obj), L_mat))
 
 
 def tf_shift(f: GridSignal, z) -> GridSignal:

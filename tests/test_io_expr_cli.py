@@ -14,6 +14,7 @@ from metaplab.serial import (
     matrix_from_json,
     matrix_to_json,
     save_field,
+    fmt17,
     save_signal,
     signal_csv,
 )
@@ -163,6 +164,39 @@ def test_cli_evolve_with_sigma(tmp_path):
     assert rc == 0
     lines = (tmp_path / "conservation.csv").read_text().splitlines()
     assert abs(float(lines[1].split(",")[1]) - 1.0) <= 1e-8
+
+
+def test_cli_evolve_one_eigendecomposition(tmp_path, monkeypatch):
+    from metaplab.quantize import SymbolGrid
+    from metaplab.schrodinger import Hamiltonian, propagate_perturbed
+    from metaplab.symplectic import QuadraticHamiltonian
+
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    times = (0.0, 0.05, 0.1, 0.2, 0.4)
+    rc = main(["evolve", "--n", "128", "--hamiltonian", "free", "--sigma",
+               "0.3*exp(-(x^2+xi^2))", "--times", ",".join(map(str, times)),
+               "--u0", "hermite:1", "--out", str(tmp_path)])
+    assert rc == 0 and len(calls) == 1
+    monkeypatch.undo()
+    grid = default_grid(128)
+    ax = grid.axes[0]
+    sigma = SymbolGrid.from_function(compile_expression("0.3*exp(-(x^2+xi^2))", ("x", "xi")), ax)
+    H = Hamiltonian(QuadraticHamiltonian.free_particle(), sigma)
+    u0 = load_signal(tmp_path / "u_0")
+    for t in times:
+        u = load_signal(tmp_path / f"u_{fmt17(t)}")
+        assert np.max(np.abs(u.values - propagate_perturbed(H, t, u0).values)) <= 1e-13
+
+
+@pytest.mark.parametrize("sigma", ["1/x", "sqrt(0-1-x^2)"])
+def test_cli_evolve_nonfinite_sigma_is_a_guard(tmp_path, sigma):
+    with np.errstate(all="ignore"):
+        rc = main(["evolve", "--n", "128", "--hamiltonian", "free", "--sigma", sigma,
+                   "--times", "0.1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "conservation.csv").exists()
 
 
 def test_cli_evolve_check_tau_irrational_grid(tmp_path):

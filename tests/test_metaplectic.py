@@ -14,6 +14,7 @@ from metaplab.metaplectic import (
 )
 from metaplab.signals import (
     GridError,
+    SamplingError,
     default_grid,
     fourier,
     gaussian,
@@ -201,12 +202,25 @@ def test_small_and_quarter_rotations(grid256, phi):
         assert cosine(out.values, phi.values) >= 1 - 1e-8
 
 
-def test_dense_matrix_consistency(grid256, rng):
-    f = smooth_noise(grid256, rng)
-    A = random_applicable_matrix(rng, 1, grid256.axes)
-    M = dense_matrix(A, grid256.axes[0])
-    direct = apply(A, f).values
-    assert np.max(np.abs(M @ f.values - direct)) <= 1e-9
+def test_dense_matrix_consistency(rng):
+    for n in (64, 128, 256):
+        grid = default_grid(n)
+        for _ in range(3):
+            f = smooth_noise(grid, rng)
+            A = random_applicable_matrix(rng, 1, grid.axes)
+            M = dense_matrix(A, grid.axes[0])
+            direct = apply(A, f).values
+            assert np.max(np.abs(M @ f.values - direct)) <= 1e-9
+
+
+def test_dense_matrix_guards_like_apply():
+    # the chirp of V_C(1.5) aliases at N = 64: both routes refuse it
+    grid = default_grid(64)
+    A = SymplecticMatrix(V_C(1.5))
+    with pytest.raises(SamplingError):
+        apply(A, gaussian(grid))
+    with pytest.raises(SamplingError):
+        dense_matrix(A, grid.axes[0])
 
 
 def test_dimension_mismatch_rejected(grid256, phi):

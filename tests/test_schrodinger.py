@@ -180,6 +180,34 @@ def test_wigner_kernel_perturbed_finite():
     assert rep["worst_off_diag_fraction"] < 0.05
 
 
+def test_wigner_kernel_batch_matches_per_probe_loop():
+    from metaplab.signals import tf_shift
+    from metaplab.wigner import wigner_A_covariant
+
+    grid = default_grid(48)
+    phi = gaussian(grid)
+    ax = grid.axes[0]
+    H = Hamiltonian(FREE, bounded_symbol(ax))
+    form = CovariantForm.tau(0.5)
+    t = 0.05
+    rep = wigner_kernel_check(H, form, t, phi)
+    inv = np.linalg.inv(rep["flow"])
+    X, Y = np.meshgrid(ax.points(), ax.dual().points(), indexing="ij")
+    back_x = inv[0, 0] * X + inv[0, 1] * Y
+    back_xi = inv[1, 0] * X + inv[1, 1] * Y
+    for probe in rep["probes"]:
+        c = probe["center"]
+        ut = propagate_perturbed(H, t, tf_shift(phi, c))
+        R2 = np.abs(wigner_A_covariant(form, ut, ut).values) ** 2
+        dist2 = (back_x - c[0]) ** 2 + (back_xi - c[1]) ** 2
+        off = np.sum(R2[dist2 > 1.0]) / np.sum(R2)
+        assert abs(probe["off_diag_fraction"] - off) <= 1e-12
+        cell = ax.step * ax.dual().step
+        for N, norm in probe["weighted_norms"].items():
+            ref = np.sqrt(np.sum((1.0 + dist2) ** N * R2) * cell)
+            assert abs(norm - ref) <= 1e-12 * ref
+
+
 def test_wavefront_gaussian_regular(grid256, phi):
     rep = wavefront(phi)
     assert len(rep.singular_bins()) == 0
