@@ -7,13 +7,17 @@ explicit flags override config fields, and --dump-config prints the
 effective configuration without running.  Identical configurations produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 validation error, 3 numeric guard trip.
+Numbers enter through `_numbers` and the field checks of `_merge_config`, and
+leave through the `serial` writers, which refuse nan and inf.  Exit codes: 0
+success (every written number finite), 2 validation error (non-finite input
+included), 3 numeric guard trip.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +42,8 @@ from .serial import (
     matrix_from_json,
     save_field,
     save_signal,
+    write_csv,
+    write_json,
 )
 from .signals import (
     GridError,
@@ -55,7 +61,7 @@ from .symplectic import (
     SymplecticMatrix,
     standard_J,
 )
-from .wigner import stft, tau_wigner, wigner_A_covariant
+from .wigner import stft, tau_wigner, wigner_A, wigner_A_covariant
 
 __all__ = ["main"]
 
@@ -64,24 +70,46 @@ class ValidationError(ValueError):
     pass
 
 
+def _numbers(text, count, what, sep=",", allow_inf=False) -> list[float]:
+    """Exactly `count` numbers in `text` split at `sep`, or with `count` None
+    any number of them, empty tokens skipped.  nan is refused, inf too unless
+    `allow_inf`; `what` names the expected form."""
+    try:
+        vals = [float(tok) for tok in str(text).split(sep) if tok or count is not None]
+    except ValueError as e:
+        raise ValidationError(f"{what}, got {text!r}") from e
+    if count is not None and len(vals) != count:
+        raise ValidationError(f"{what}, got {text!r}")
+    if any(math.isnan(v) or (math.isinf(v) and not allow_inf) for v in vals):
+        raise ValidationError(f"{what}, got {text!r}: numbers must be finite")
+    return vals
+
+
+def _read_matrix(path: str) -> SymplecticMatrix:
+    try:
+        M = matrix_from_json(Path(path).read_text())
+    except (OSError, ValueError) as e:  # ValueError covers JSONDecodeError
+        raise ValidationError(f"cannot read matrix file {path!r}: {e}") from e
+    return SymplecticMatrix(M)
+
+
 def _parse_signal(spec: str, grid):
     name, _, arg = spec.partition(":")
     if name == "gaussian":
         return gaussian(grid)
     if name == "hermite":
         try:
-            return hermite(grid, int(arg or "0"))
+            order = int(arg or "0")
         except ValueError as e:
             raise ValidationError(f"bad hermite order {arg!r}") from e
+        if order < 0:
+            raise ValidationError(f"hermite order must be >= 0, got {order}")
+        return hermite(grid, order)
     if name == "sign-gaussian":
         return sign_gaussian(grid)
     if name == "two-bump":
         if arg:
-            try:
-                x0, xi0 = (float(tok) for tok in arg.split(","))
-            except ValueError as e:
-                raise ValidationError(f"two-bump wants 'x0,xi0', got {arg!r}") from e
-            return two_bump(grid, x0, xi0)
+            return two_bump(grid, *_numbers(arg, 2, "two-bump wants 'x0,xi0'"))
         return two_bump(grid)
     if name == "file":
         try:
@@ -98,32 +126,22 @@ def _parse_signal(spec: str, grid):
 def _parse_rep(spec: str):
     name, _, arg = spec.partition(":")
     if name == "tau":
-        try:
-            tau = float(arg)
-        except ValueError as e:
-            raise ValidationError(f"bad tau value {arg!r}") from e
+        (tau,) = _numbers(arg, 1, "tau wants one number")
         if not 0.0 <= tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {tau}")
         return ("tau", tau)
     if name == "stft":
         return ("stft", None)
     if name == "cov":
-        try:
-            a11, a13, a21 = (float(tok) for tok in arg.split(","))
-        except ValueError as e:
-            raise ValidationError(f"cov wants 'a11,a13,a21', got {arg!r}") from e
+        a11, a13, a21 = _numbers(arg, 3, "cov wants 'a11,a13,a21'")
         return ("cov", CovariantForm(np.array([[a11]]), np.array([[a13]]), np.array([[a21]])))
     if name == "matrix":
-        try:
-            M = matrix_from_json(Path(arg).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            raise ValidationError(f"cannot read matrix file {arg!r}: {e}") from e
-        return ("matrix", SymplecticMatrix(M))
+        return ("matrix", _read_matrix(arg))
     raise ValidationError(f"unknown representation {spec!r}")
 
 
 def _merge_config(defaults: dict, config_path: str | None, cli_pairs: dict) -> dict:
-    effective = dict(defaults)
+    effective, loaded = dict(defaults), {}
     if config_path:
         try:
             loaded = json.loads(Path(config_path).read_text())
@@ -134,17 +152,25 @@ def _merge_config(defaults: dict, config_path: str | None, cli_pairs: dict) -> d
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
-        effective.update(loaded)
-    for key, value in cli_pairs.items():
-        if value is not None:
-            effective[key] = value
+    # config values, then the flags that override them, through the same checks
+    for key, value in [*loaded.items(), *cli_pairs.items()]:
+        if value is None:
+            continue  # null keeps the default, as an absent flag does
+        if isinstance(value, (list, dict)):
+            raise ValidationError(f"{key} must be a string or a number, got {value!r}")
+        kind, ok, rule = _TYPED.get(key, (str, None, None))
+        try:
+            value = kind(value)
+        except (ValueError, OverflowError) as e:
+            raise ValidationError(f"{key}: {e}") from e
+        if ok is not None and not ok(value):
+            raise ValidationError(f"{key} must be {rule}, got {value}")
+        effective[key] = value
     return effective
 
 
 def _grid_from(cfg: dict):
-    n = int(cfg["n"])
-    grid = default_grid(n, cfg.get("half_width"))
-    return grid
+    return default_grid(cfg["n"], cfg.get("half_width"))
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -154,6 +180,7 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_wigner(cfg: dict) -> int:
+    """time-frequency field of a signal"""
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
     kind, arg = _parse_rep(cfg["rep"])
@@ -165,83 +192,70 @@ def cmd_wigner(cfg: dict) -> int:
     elif kind == "cov":
         F = wigner_A_covariant(arg, f, f)
     else:
-        from .wigner import wigner_A
-
         F = wigner_A(arg, f, f)
     out = _out_dir(cfg)
     save_field(out / "field", F)
     field_csv(out / "field.csv", F)
     gnorm = window.norm() if kind == "stft" else f.norm()
-    meta = {
+    write_json(out / "meta.json", {
         "signal": cfg["signal"],
         "rep": cfg["rep"],
         "signal_norm": f.norm(),
         "field_norm": F.norm(),
         "moyal_deviation": abs(F.norm() - f.norm() * gnorm),
-        "max_abs": float(np.max(np.abs(F.values))),
-    }
-    (out / "meta.json").write_text(dumps_deterministic(meta) + "\n")
+        "max_abs": np.max(np.abs(F.values)),
+    })
     return 0
 
 
-def _parse_hamiltonian(cfg: dict):
-    spec = cfg["hamiltonian"]
+def _symbol(text: str, ax, what: str) -> SymbolGrid:
+    try:
+        fn = compile_expression(text, ("x", "xi"))
+    except ExprError as e:
+        raise ValidationError(f"{what} expression: {e}") from e
+    return SymbolGrid.from_function(fn, ax)
+
+
+def _parse_hamiltonian(spec: str) -> QuadraticHamiltonian:
     name, _, arg = spec.partition(":")
     if name == "free":
-        quad = QuadraticHamiltonian.free_particle()
-    elif name == "harmonic":
-        quad = QuadraticHamiltonian.harmonic()
-    elif name == "quad":
-        try:
-            a, b, c = (float(tok) for tok in arg.split(","))
-        except ValueError as e:
-            raise ValidationError(f"quad wants 'A,B,C', got {arg!r}") from e
-        quad = QuadraticHamiltonian(np.array([[a]]), np.array([[b]]), np.array([[c]]))
-    else:
-        raise ValidationError(f"unknown hamiltonian {spec!r}")
-    sigma = None
-    if cfg.get("sigma"):
-        try:
-            fn = compile_expression(cfg["sigma"], ("x", "xi"))
-        except ExprError as e:
-            raise ValidationError(f"sigma expression: {e}") from e
-        sigma = fn
-    return quad, sigma
+        return QuadraticHamiltonian.free_particle()
+    if name == "harmonic":
+        return QuadraticHamiltonian.harmonic()
+    if name == "quad":
+        a, b, c = _numbers(arg, 3, "quad wants 'A,B,C'")
+        return QuadraticHamiltonian(np.array([[a]]), np.array([[b]]), np.array([[c]]))
+    raise ValidationError(f"unknown hamiltonian {spec!r}")
 
 
 def cmd_evolve(cfg: dict) -> int:
+    """propagate under a Hamiltonian"""
     grid = _grid_from(cfg)
     ax = grid.axes[0]
     u0 = _parse_signal(cfg["u0"], grid)
-    quad, sigma_fn = _parse_hamiltonian(cfg)
-    sigma = SymbolGrid.from_function(sigma_fn, ax) if sigma_fn is not None else None
+    quad = _parse_hamiltonian(cfg["hamiltonian"])
+    sigma = _symbol(cfg["sigma"], ax, "sigma") if cfg.get("sigma") else None
     H = Hamiltonian(quad, sigma)
-    try:
-        times = [float(t) for t in str(cfg["times"]).split(",") if t != ""]
-    except ValueError as e:
-        raise ValidationError(f"bad times list {cfg['times']!r}") from e
+    times = _numbers(cfg["times"], None, "times wants 't1,t2,...'")
+    if not times:
+        raise ValidationError("times wants at least one time")
     out = _out_dir(cfg)
     M = hamiltonian_matrix(H, ax)
-    lines = ["t,norm,energy_re,energy_im"]
-    norms = []
-    for t, vals in zip(times, _flow(M, u0.values, times)):
-        u = u0.with_values(vals)
-        energy = complex(np.vdot(vals, M @ vals) * ax.step)
-        norms.append(u.norm())
+    states = [u0.with_values(vals) for vals in _flow(M, u0.values, times)]
+    for t, u in zip(times, states):
         save_signal(out / f"u_{fmt17(t)}", u)
-        lines.append(f"{fmt17(t)},{fmt17(norms[-1])},{fmt17(energy.real)},{fmt17(energy.imag)}")
-    (out / "conservation.csv").write_text("\n".join(lines) + "\n")
+    norms = [u.norm() for u in states]
+    energies = [complex(np.vdot(u.values, M @ u.values) * ax.step) for u in states]
+    write_csv(out / "conservation.csv", ("t", "norm", "energy_re", "energy_im"),
+              (times, norms, [e.real for e in energies], [e.imag for e in energies]))
     check_tau = cfg.get("check_tau")
     meta = {"hamiltonian": cfg["hamiltonian"], "times": times,
             "unitarity_max_dev": max(abs(nrm - u0.norm()) for nrm in norms)}
     if check_tau is not None and sigma is None:
-        rows = ["t,residual"]
-        for t in times:
-            res = evolved_wigner_check(quad, float(check_tau), t, u0)
-            rows.append(f"{fmt17(t)},{fmt17(res['residual'])}")
-        (out / "transport_residuals.csv").write_text("\n".join(rows) + "\n")
-        meta["transport_check_tau"] = float(check_tau)
-    (out / "meta.json").write_text(dumps_deterministic(meta) + "\n")
+        residuals = [evolved_wigner_check(quad, check_tau, t, u0)["residual"] for t in times]
+        write_csv(out / "transport_residuals.csv", ("t", "residual"), (times, residuals))
+        meta["transport_check_tau"] = check_tau
+    write_json(out / "meta.json", meta)
     return 0
 
 
@@ -255,63 +269,48 @@ def _parse_operator(cfg: dict, grid):
         J = SymplecticMatrix(standard_J(1))
         return DenseOperator(dense_matrix(J, ax), (ax,), "signal"), J.mat
     if name == "weyl":
-        try:
-            fn = compile_expression(arg, ("x", "xi"))
-        except ExprError as e:
-            raise ValidationError(f"weyl symbol expression: {e}") from e
-        return weyl(SymbolGrid.from_function(fn, ax), ax), np.eye(2)
+        return weyl(_symbol(arg, ax, "weyl symbol"), ax), np.eye(2)
     if name == "matrix":
-        try:
-            M = matrix_from_json(Path(arg).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            raise ValidationError(f"cannot read matrix file {arg!r}: {e}") from e
-        chi = SymplecticMatrix(M)
+        chi = _read_matrix(arg)
         return DenseOperator(dense_matrix(chi, ax), (ax,), "signal"), chi.mat
     raise ValidationError(f"unknown operator {spec!r}")
 
 
 def cmd_gaborscan(cfg: dict) -> int:
+    """Gabor matrix decay envelope"""
     grid = _grid_from(cfg)
     if not cfg.get("window"):
         raise ValidationError("gaborscan needs a window specification")
     window = _parse_signal(cfg["window"], grid)
     T, chi_guess = _parse_operator(cfg, grid)
-    try:
-        dx, dxi, radius = (float(tok) for tok in str(cfg["lattice"]).split(","))
-    except ValueError as e:
-        raise ValidationError(f"lattice wants 'dx,dxi,R', got {cfg['lattice']!r}") from e
+    dx, dxi, radius = _numbers(cfg["lattice"], 3, "lattice wants 'dx,dxi,R'")
     lattice = GaborLattice.separable(dx, dxi, radius)
     qs = []
     for tok in str(cfg["qs"]).split(","):
-        if not tok:
-            continue
-        try:
-            q, s = tok.split(":")
-            qs.append((float(q), float(s)))
-        except ValueError as e:
-            raise ValidationError(f"qs wants 'q:s' pairs, got {tok!r}") from e
+        if tok:
+            q, s = _numbers(tok, 2, "qs wants 'q:s' pairs", sep=":", allow_inf=True)
+            if not (q > 0 and math.isfinite(s)):
+                raise ValidationError(f"qs wants q > 0 and a finite s, got {tok!r}")
+            qs.append((q, s))
     data = gabor_matrix(T, window, lattice)
     chi = None if cfg.get("estimate_chi") else chi_guess
     report = envelope_fit(data, chi=chi, qs=tuple(qs) or ((1.0, 0.0),))
     out = _out_dir(cfg)
     radii, vals = report.shell_radii_and_values()
-    rows = ["k_sup,shell_max"]
-    for r, v in zip(radii, vals):
-        rows.append(f"{int(r)},{fmt17(v)}")
-    (out / "shells.csv").write_text("\n".join(rows) + "\n")
-    payload = {
-        "chi": [[float(fmt17(v)) for v in row] for row in report.chi],
+    write_csv(out / "shells.csv", ("k_sup", "shell_max"), (radii.astype(np.int64), vals))
+    write_json(out / "envelope.json", {
+        "chi": report.chi,
         "chi_estimated": report.chi_estimated,
         "slope": report.slope,
         "tail_estimate": report.tail_estimate,
         "norms": {f"q={fmt17(q)},s={fmt17(s)}": v for (q, s), v in report.norms.items()},
         "lattice": {"dx": dx, "dxi": dxi, "radius": radius},
-    }
-    (out / "envelope.json").write_text(dumps_deterministic(payload) + "\n")
+    })
     return 0
 
 
 def cmd_wfs(cfg: dict) -> int:
+    """wave front report"""
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
     kind, arg = _parse_rep(cfg["rep"])
@@ -323,29 +322,23 @@ def cmd_wfs(cfg: dict) -> int:
         rep = "stft_global"
     else:
         raise ValidationError("wfs supports tau:<t>, cov:<blocks>, or stft representations")
-    report = wavefront(
-        f,
-        rep=rep,
-        n_bins=int(cfg["bins"]),
-        r0=float(cfg["r0"]),
-    )
+    report = wavefront(f, rep=rep, n_bins=cfg["bins"], r0=cfg["r0"])
     out = _out_dir(cfg)
-    rows = ["angle_rad,order,integral"]
-    for b, angle in enumerate(report.angles):
-        for j, N in enumerate(report.orders):
-            rows.append(f"{fmt17(angle)},{int(N)},{fmt17(report.integrals[b, j])}")
-    (out / "cones.csv").write_text("\n".join(rows) + "\n")
-    payload = {
+    orders = np.array(report.orders, dtype=np.int64)
+    write_csv(out / "cones.csv", ("angle_rad", "order", "integral"),
+              (np.repeat(report.angles, orders.size), np.tile(orders, report.angles.size),
+               report.integrals.ravel()))
+    singular = report.singular_bins()
+    write_json(out / "wavefront.json", {
         "signal": cfg["signal"],
         "rep": cfg["rep"],
         "threshold": report.threshold,
-        "singular_bins": [int(b) for b in report.singular_bins()],
-        "singular_angles_deg": [float(fmt17(np.degrees(report.angles[b]))) for b in report.singular_bins()],
-        "inconclusive_bins": [int(b) for b in np.where(report.inconclusive)[0]],
-        "params": {k: v for k, v in report.params.items()},
-        "slopes": [float(fmt17(s)) if np.isfinite(s) else None for s in report.slopes],
-    }
-    (out / "wavefront.json").write_text(dumps_deterministic(payload) + "\n")
+        "singular_bins": singular,
+        "singular_angles_deg": np.degrees(report.angles[singular]),
+        "inconclusive_bins": np.where(report.inconclusive)[0],
+        "params": report.params,
+        "slopes": [s if np.isfinite(s) else None for s in report.slopes],
+    })
     return 0
 
 
@@ -375,6 +368,17 @@ _DEFAULTS = {
             "half_width": None, "out": "."},
 }
 
+# the fields that are not strings: type, the test each value must pass, and
+# the test in words; only check_tau may be any finite number
+_TYPED = {
+    "n": (int, lambda v: v > 0 and v % 2 == 0, "a positive even integer"),
+    "bins": (int, lambda v: v >= 1, ">= 1"),
+    "half_width": (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "r0": (float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "check_tau": (float, math.isfinite, "finite"),
+    "estimate_chi": (bool, None, None),
+}
+
 _RUNNERS = {
     "wigner": cmd_wigner,
     "evolve": cmd_evolve,
@@ -383,44 +387,25 @@ _RUNNERS = {
 }
 
 
+_FLAG_HELP = {"out": "output directory", "n": "grid size (even)",
+              "half_width": "grid half width (default self-dual)"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per runner, one flag per config field."""
     p = argparse.ArgumentParser(prog="metaplab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, run in _RUNNERS.items():
+        sp = sub.add_parser(command, help=run.__doc__)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument("--dump-config", action="store_true", help="print the effective config and exit")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--n", type=int, help="grid size (even)")
-        sp.add_argument("--half-width", dest="half_width", type=float, help="grid half width (default self-dual)")
-
-    sp = sub.add_parser("wigner", help="time-frequency field of a signal")
-    add_common(sp)
-    sp.add_argument("--signal")
-    sp.add_argument("--rep")
-
-    sp = sub.add_parser("evolve", help="propagate under a Hamiltonian")
-    add_common(sp)
-    sp.add_argument("--hamiltonian")
-    sp.add_argument("--sigma")
-    sp.add_argument("--times")
-    sp.add_argument("--u0")
-    sp.add_argument("--check-tau", dest="check_tau", type=float)
-
-    sp = sub.add_parser("gaborscan", help="Gabor matrix decay envelope")
-    add_common(sp)
-    sp.add_argument("--operator")
-    sp.add_argument("--window")
-    sp.add_argument("--lattice")
-    sp.add_argument("--qs")
-    sp.add_argument("--estimate-chi", dest="estimate_chi", action="store_const", const=True)
-
-    sp = sub.add_parser("wfs", help="wave front report")
-    add_common(sp)
-    sp.add_argument("--signal")
-    sp.add_argument("--rep")
-    sp.add_argument("--bins", type=int)
-    sp.add_argument("--r0", type=float)
+        for key in _DEFAULTS[command]:
+            flag = "--" + key.replace("_", "-")
+            kind = _TYPED.get(key, (str,))[0]
+            if kind is bool:
+                sp.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                sp.add_argument(flag, dest=key, type=kind, help=_FLAG_HELP.get(key))
     return p
 
 
@@ -428,18 +413,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
-    cli_pairs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "dump_config") and v is not None
-    }
+    cli_pairs = {k: v for k, v in vars(args).items() if k not in ("command", "config", "dump_config")}
     try:
         cfg = _merge_config(_DEFAULTS[command], args.config, cli_pairs)
         if args.dump_config:
             sys.stdout.write(dumps_deterministic({"command": command, **cfg}) + "\n")
             return 0
-        if cfg.get("n") is None or int(cfg["n"]) <= 0 or int(cfg["n"]) % 2:
-            raise ValidationError(f"grid size must be a positive even integer, got {cfg.get('n')}")
         return _RUNNERS[command](cfg)
     except (SamplingError, GridError, DecompositionError) as e:
         # guard exceptions subclass ValueError, so they must match first

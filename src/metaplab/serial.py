@@ -3,7 +3,8 @@
 Complex arrays are stored as little-endian interleaved float64 (re, im)
 next to a JSON header describing the grid; floats in JSON and CSV are
 written with 17 significant digits so that two runs of the same
-configuration produce byte-identical files.
+configuration produce byte-identical files.  Every writer refuses a
+non-finite number with `SamplingError` before it writes any file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import Axis, Grid, GridSignal, PhaseSpaceField
+from .signals import Axis, Grid, GridSignal, PhaseSpaceField, SamplingError
 from .symplectic import SymplecticMatrix
 
 __all__ = [
@@ -28,8 +29,14 @@ __all__ = [
     "matrix_from_json",
     "signal_csv",
     "field_csv",
+    "write_csv",
+    "write_json",
     "dumps_deterministic",
 ]
+
+# rows per `%`-format call of `write_csv`: one template for the whole table
+# would hold the whole text in memory at once
+_CSV_BLOCK = 4096
 
 
 def fmt17(x: float) -> str:
@@ -37,7 +44,7 @@ def fmt17(x: float) -> str:
 
 
 def dumps_deterministic(obj) -> str:
-    """JSON with sorted keys and 17-significant-digit floats."""
+    """JSON with sorted keys and 17-significant-digit floats; ValueError on nan or inf."""
 
     def convert(o):
         if isinstance(o, dict):
@@ -45,16 +52,47 @@ def dumps_deterministic(obj) -> str:
         if isinstance(o, (list, tuple)):
             return [convert(v) for v in o]
         if isinstance(o, (np.floating, float)):
-            return float(fmt17(float(o)))
+            return float(o)  # repr round-trips, as the 17-digit text does
         if isinstance(o, (np.integer, int)):
             return int(o)
         if isinstance(o, np.ndarray):
             return convert(o.tolist())
         if isinstance(o, complex):
-            return {"re": float(fmt17(o.real)), "im": float(fmt17(o.imag))}
+            return {"re": float(o.real), "im": float(o.imag)}
         return o
 
-    return json.dumps(convert(obj), sort_keys=True, indent=1)
+    return json.dumps(convert(obj), sort_keys=True, indent=1, allow_nan=False)
+
+
+def _refuse_nonfinite(path, *arrays) -> None:
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise SamplingError(f"{path}: refusing to write a non-finite number")
+
+
+def write_json(path, obj) -> None:
+    """`obj` as deterministic JSON plus a newline; SamplingError on nan or inf."""
+    try:
+        text = dumps_deterministic(obj)
+    except ValueError as e:
+        raise SamplingError(f"{path}: refusing to write a non-finite number") from e
+    Path(path).write_text(text + "\n")
+
+
+def write_csv(path, header, columns) -> None:
+    """Equal-length 1-D `columns` under the column names `header`.
+
+    Integer columns are written with %d, float columns with the 17
+    significant digits of `fmt17`.  SamplingError on nan or inf.
+    """
+    cols = [np.asarray(c) for c in columns]
+    _refuse_nonfinite(path, *cols)
+    row = ",".join("%d" if c.dtype.kind in "iub" else "%.17g" for c in cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK].tolist() for c in cols]
+            fh.write((row * len(block[0])) % tuple(v for r in zip(*block) for v in r))
 
 
 def _with_ext(base: Path, ext: str) -> Path:
@@ -62,12 +100,12 @@ def _with_ext(base: Path, ext: str) -> Path:
     return base.parent / (base.name + ext)
 
 
-def _write_complex(path: Path, values: np.ndarray) -> None:
-    inter = np.empty(values.size * 2, dtype="<f8")
-    flat = values.ravel()
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    path.write_bytes(inter.tobytes())
+def _save(path, header: dict, values) -> None:
+    """`<path>.json` header and `<path>.bin` sidecar of interleaved (re, im)."""
+    base = Path(path)
+    _refuse_nonfinite(base, values)
+    write_json(_with_ext(base, ".json"), {**header, "dtype": "c128"})
+    _with_ext(base, ".bin").write_bytes(np.asarray(values, dtype="<c16").tobytes())
 
 
 def _read_complex(path: Path, count: int) -> np.ndarray:
@@ -78,20 +116,13 @@ def _read_complex(path: Path, count: int) -> np.ndarray:
 
 
 def _axis_header(ax: Axis) -> dict:
-    return {"N": ax.n, "L": float(fmt17(ax.half_width))}
+    return {"N": ax.n, "L": float(ax.half_width)}
 
 
 def save_signal(path, sig: GridSignal) -> None:
     """Write `<path>.json` header and `<path>.bin` sidecar."""
-    base = Path(path)
-    header = {
-        "kind": "signal",
-        "dim": sig.grid.dim,
-        "axes": [_axis_header(ax) for ax in sig.grid.axes],
-        "dtype": "c128",
-    }
-    _with_ext(base, ".json").write_text(dumps_deterministic(header) + "\n")
-    _write_complex(_with_ext(base, ".bin"), sig.values)
+    axes = [_axis_header(ax) for ax in sig.grid.axes]
+    _save(path, {"kind": "signal", "dim": sig.grid.dim, "axes": axes}, sig.values)
 
 
 def _read_header(base: Path, kind: str, keys=("axes",)) -> dict:
@@ -129,15 +160,8 @@ def load_signal(path) -> GridSignal:
 
 
 def save_field(path, F: PhaseSpaceField) -> None:
-    base = Path(path)
-    header = {
-        "kind": "field",
-        "dim": 2,
-        "axes": [_axis_header(F.x_axis), _axis_header(F.xi_axis)],
-        "dtype": "c128",
-    }
-    _with_ext(base, ".json").write_text(dumps_deterministic(header) + "\n")
-    _write_complex(_with_ext(base, ".bin"), F.values)
+    axes = [_axis_header(F.x_axis), _axis_header(F.xi_axis)]
+    _save(path, {"kind": "field", "dim": 2, "axes": axes}, F.values)
 
 
 def load_field(path) -> PhaseSpaceField:
@@ -152,15 +176,8 @@ def load_field(path) -> PhaseSpaceField:
 
 
 def save_operator_matrix(path, matrix: np.ndarray, axes) -> None:
-    base = Path(path)
-    header = {
-        "kind": "operator",
-        "shape": list(matrix.shape),
-        "axes": [_axis_header(ax) for ax in axes],
-        "dtype": "c128",
-    }
-    _with_ext(base, ".json").write_text(dumps_deterministic(header) + "\n")
-    _write_complex(_with_ext(base, ".bin"), matrix)
+    axes = [_axis_header(ax) for ax in axes]
+    _save(path, {"kind": "operator", "shape": list(matrix.shape), "axes": axes}, matrix)
 
 
 def load_operator_matrix(path) -> tuple[np.ndarray, tuple[Axis, ...]]:
@@ -175,34 +192,35 @@ def load_operator_matrix(path) -> tuple[np.ndarray, tuple[Axis, ...]]:
 def matrix_to_json(M) -> str:
     """Symplectic (or plain real) matrix as {"n": ..., "rows": [[...]]}."""
     mat = M.mat if isinstance(M, SymplecticMatrix) else np.asarray(M, dtype=float)
-    rows = [[float(fmt17(v)) for v in row] for row in mat]
-    return json.dumps({"n": mat.shape[0] // 2, "rows": rows}, sort_keys=True)
+    return json.dumps({"n": mat.shape[0] // 2, "rows": mat.tolist()}, sort_keys=True)
 
 
 def matrix_from_json(text: str) -> np.ndarray:
+    """The finite 2-D array under "rows"; ValueError naming what is wrong."""
     data = json.loads(text)
-    return np.array(data["rows"], dtype=float)
+    if not isinstance(data, dict) or "rows" not in data:
+        raise ValueError('matrix JSON must be an object {"rows": [[...], ...]}')
+    try:
+        M = np.array(data["rows"], dtype=float)
+    except (TypeError, ValueError):
+        M = None
+    if M is None or M.ndim != 2 or not np.all(np.isfinite(M)):
+        raise ValueError("matrix rows must be equal-length lists of finite numbers")
+    return M
 
 
 def signal_csv(path, sig: GridSignal) -> None:
     """Columns x, re, im."""
     if sig.grid.dim != 1:
         raise ValueError("CSV export expects a 1-D signal")
-    lines = ["x,re,im"]
-    for x, v in zip(sig.grid.axes[0].points(), sig.values):
-        lines.append(f"{fmt17(x)},{fmt17(v.real)},{fmt17(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    x = sig.grid.axes[0].points()
+    write_csv(path, ("x", "re", "im"), (x, sig.values.real, sig.values.imag))
 
 
 def field_csv(path, F: PhaseSpaceField) -> None:
-    """Columns x, xi, re, im, abs."""
-    xs = F.x_axis.points()
-    xis = F.xi_axis.points()
-    lines = ["x,xi,re,im,abs"]
-    for i, x in enumerate(xs):
-        for j, xi in enumerate(xis):
-            v = F.values[i, j]
-            lines.append(
-                f"{fmt17(x)},{fmt17(xi)},{fmt17(v.real)},{fmt17(v.imag)},{fmt17(abs(v))}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Columns x, xi, re, im, abs (x-major rows)."""
+    xs, xis = F.x_axis.points(), F.xi_axis.points()
+    v = F.values.ravel()
+    # hypot matches the scalar abs(complex) bit for bit; np.abs does not
+    write_csv(path, ("x", "xi", "re", "im", "abs"), (np.repeat(xs, xis.size), np.tile(xis, xs.size),
+                                                    v.real, v.imag, np.hypot(v.real, v.imag)))

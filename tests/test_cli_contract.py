@@ -1,0 +1,161 @@
+"""The CLI contract: exit 0 only with finite outputs, 2 for bad input, 3 for a
+numeric guard, and never an exception."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metaplab.cli import main
+
+# lattices on the self-dual N = 16 and N = 32 grids (steps 1/4 and 1/sqrt(32))
+# whose Gabor-matrix envelopes decay, so that gaborscan can exit 0
+LATTICE16 = "0.75,0.75,2"
+LATTICE32 = f"{6 / 32 ** 0.5!r},{6 / 32 ** 0.5!r},3"
+
+
+def nonfinite_outputs(out: Path) -> list[str]:
+    """Files under `out` that hold a nan or an inf."""
+    bad = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.suffix == ".bin":
+            vals = np.fromfile(path, dtype="<f8")
+        elif path.suffix == ".json":
+            vals = np.array(_json_floats(json.loads(path.read_text())), dtype=float)
+        elif path.suffix == ".csv":
+            rows = path.read_text().splitlines()[1:]
+            vals = np.array([float(tok) for row in rows for tok in row.split(",")])
+        else:
+            continue
+        if not np.all(np.isfinite(vals)):
+            bad.append(path.name)
+    return bad
+
+
+def _json_floats(value) -> list[float]:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _json_floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def run(argv: list[str]) -> int:
+    """main's exit code; an argparse rejection counts as its exit code."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.fixture(scope="module")
+def not_a_matrix(tmp_path_factory):
+    path = tmp_path_factory.mktemp("matrix") / "list.json"
+    path.write_text("[1, 2]")
+    return str(path)
+
+
+GABOR32 = ["gaborscan", "--n", "32", "--lattice", LATTICE32]
+
+# each of these raised or exited 0 with nan in its outputs before the CLI
+# checked its numbers where they enter
+BAD_INPUTS = {
+    "rep-matrix-list": ["wigner", "--n", "32", "--rep", "matrix:{matrix}"],
+    "operator-matrix-list": GABOR32 + ["--operator", "matrix:{matrix}"],
+    "bins-zero": ["wfs", "--n", "32", "--bins", "0"],
+    "qs-zero": GABOR32 + ["--qs", "0:0"],
+    "qs-nan": GABOR32 + ["--qs", "nan:0"],
+    "cov-nan": ["wigner", "--n", "32", "--rep", "cov:nan,0,0"],
+    "two-bump-nan": ["wigner", "--n", "32", "--signal", "two-bump:nan,0"],
+    "times-nan": ["evolve", "--n", "32", "--times", "nan"],
+    "times-inf": ["evolve", "--n", "32", "--times", "inf"],
+    "r0-nan": ["wfs", "--n", "32", "--r0", "nan"],
+    "hermite-negative": ["wigner", "--n", "32", "--signal", "hermite:-1"],
+    "half-width-nan": ["wigner", "--n", "32", "--half-width", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_numbers_are_validation_errors(tmp_path, not_a_matrix, name, capsys):
+    argv = [a.format(matrix=not_a_matrix) for a in BAD_INPUTS[name]]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert nonfinite_outputs(tmp_path) == []
+
+
+def test_bad_numbers_in_config_match_flags(tmp_path):
+    for field, value in (("bins", 0), ("r0", float("nan")), ("half_width", float("inf")),
+                         ("n", float("inf")), ("bins", [3])):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, field: value}))
+        assert run(["wfs", "--config", str(cfg), "--out", str(tmp_path)]) == 2, field
+
+
+# config values for the fuzz, as (valid, bad): bad ones are out of range,
+# non-finite or of the wrong type; N stays at 16 or 32, so every run is small
+SIGNALS = (["gaussian", "hermite:2", "two-bump:1,1", "sign-gaussian"],
+           ["hermite:-1", "hermite:x", "two-bump:nan,0", "two-bump:1", "bogus", "", 5])
+VALUES = {
+    "n": ([16, 32, "32"], [15, 0, -2, "abc", 2.5, True, float("nan"), float("inf"), [16]]),
+    "half_width": ([None, 2.0, "3"], [0, -1.0, float("nan"), float("inf"), "abc", {}]),
+    "signal": SIGNALS,
+    "u0": SIGNALS,
+    "window": SIGNALS,
+    "rep": (["tau:0.5", "stft", "cov:0.4,0.1,-0.2", "cov:0.5,0,3"],
+            ["tau:nan", "tau:1.5", "tau:", "cov:inf,0,0", "matrix:{matrix}", "matrix:nosuch", 0.5]),
+    "hamiltonian": (["free", "harmonic", "quad:0.5,0.1,1"], ["quad:nan,0,0", "quad:1,2", "bogus"]),
+    "sigma": ([None, "0.3*exp(-(x^2+xi^2))", "1/x"], ["x+*2", 3]),
+    "times": (["0.05", "0.02,0.1", "0.1,,0.2", 0.05, "-0.1", "1e308"],
+              ["", ",", "nan", "inf", "0.1,abc"]),
+    "check_tau": ([None, 0.5, "0.25", -3, 1e300], [float("nan"), float("inf"), "abc"]),
+    "operator": (["fourier", "identity", "weyl:exp(-(x^2+xi^2))", "weyl:1/x"],
+                 ["matrix:{matrix}", "bogus"]),
+    "lattice": ([], ["0,0.5,3", "nan,0.5,3", "0.5,0.5", "0.5,0.5,-1", "0.5,0.5,inf", 0.5]),
+    "qs": (["1:0", "inf:0", "1:0,,0.5:1", "2:-1"], ["0:0", "nan:0", "1:nan", "1:inf", "1-0", "-1:0"]),
+    "estimate_chi": ([True, False, None, "yes", 0], []),
+    "bins": ([1, 8, "8", 2.5], [0, -3, float("nan"), float("inf"), "abc"]),
+    "r0": ([0, 1.5, "2"], [-1, float("nan"), float("inf"), "abc"]),
+}
+COMMAND_FIELDS = {
+    "wigner": ("signal", "rep"),
+    "evolve": ("hamiltonian", "sigma", "times", "u0", "check_tau"),
+    "gaborscan": ("operator", "window", "lattice", "qs", "estimate_chi"),
+    "wfs": ("signal", "rep", "bins", "r0"),
+}
+
+
+@st.composite
+def configs(draw):
+    """A command and its config: all fields valid, or one of them bad."""
+    command = draw(st.sampled_from(sorted(COMMAND_FIELDS)))
+    fields = ("n", "half_width") + COMMAND_FIELDS[command]
+    bad = draw(st.sampled_from([f for f in fields if VALUES[f][1]])) if draw(st.booleans()) else None
+    cfg = {"n": draw(st.sampled_from(VALUES["n"][0]))}
+    if command == "gaborscan":
+        cfg["lattice"] = LATTICE16 if cfg["n"] == 16 else LATTICE32
+    for field in fields:
+        good, wrong = VALUES[field]
+        if field == bad:
+            cfg[field] = draw(st.sampled_from(wrong))
+        elif good and field != "n" and draw(st.booleans()):
+            cfg[field] = draw(st.sampled_from(good))
+    return command, cfg
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(configs())
+def test_config_fuzz_keeps_the_contract(not_a_matrix, drawn):
+    command, cfg = drawn
+    cfg = {k: v.format(matrix=not_a_matrix) if isinstance(v, str) else v for k, v in cfg.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3), (command, cfg)
+        if code == 0:
+            assert nonfinite_outputs(out) == [], (command, cfg)

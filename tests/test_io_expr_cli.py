@@ -17,8 +17,9 @@ from metaplab.serial import (
     fmt17,
     save_signal,
     signal_csv,
+    write_csv,
 )
-from metaplab.signals import default_grid, gaussian, smooth_noise
+from metaplab.signals import PhaseSpaceField, SamplingError, default_grid, gaussian, smooth_noise
 from metaplab.symplectic import tau_matrix
 from metaplab.wigner import wigner_cross
 
@@ -59,6 +60,49 @@ def test_csv_headers(tmp_path, phi):
     lines = (tmp_path / "f.csv").read_text().splitlines()
     assert lines[0] == "x,xi,re,im,abs"
     assert len(lines) == 16 * 16 + 1
+
+
+def test_write_csv_matches_per_value_fmt17(tmp_path, rng):
+    edge = [-0.0, 5e-324, 1e308, 0.1, -1.5, 1.0, 2.0 ** 52 + 1.0]
+    floats = np.concatenate([edge, rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)])
+    ints = np.arange(floats.size, dtype=np.int64) - 7
+    write_csv(tmp_path / "t.csv", ("k", "v"), (ints, floats))
+    expected = "k,v\n" + "".join(f"{int(k)},{fmt17(v)}\n" for k, v in zip(ints, floats))
+    assert floats.size > 4096
+    assert (tmp_path / "t.csv").read_text() == expected
+    write_csv(tmp_path / "empty.csv", ("a", "b"), ([], []))
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def test_field_csv_abs_column_is_the_scalar_abs(tmp_path, phi):
+    F = wigner_cross(phi, phi)
+    field_csv(tmp_path / "f.csv", F)
+    rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == [fmt17(abs(v)) for v in F.values.ravel()]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_writers_refuse_nonfinite_numbers(tmp_path, bad):
+    g16 = gaussian(default_grid(16))
+    F = wigner_cross(g16, g16)
+    vals = F.values.copy()
+    vals[3, 5] = bad
+    F = PhaseSpaceField(F.x_axis, F.xi_axis, vals)
+    with pytest.raises(SamplingError):
+        save_field(tmp_path / "field", F)
+    with pytest.raises(SamplingError):
+        field_csv(tmp_path / "field.csv", F)
+    with pytest.raises(SamplingError):
+        save_signal(tmp_path / "sig", g16.with_values(np.where(np.arange(16) == 2, bad, g16.values)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_matrix_from_json_names_the_problem():
+    for text, problem in (("[1, 2]", "object"), ('{"rows": [1, 2]}', "lists of finite"),
+                          ('{"rows": [[1, 2], [3]]}', "equal-length"),
+                          ('{"rows": [[NaN, 0], [0, 1]]}', "finite")):
+        with pytest.raises(ValueError, match=problem):
+            matrix_from_json(text)
 
 
 def test_expression_grammar():
