@@ -23,6 +23,7 @@ from .signals import (
     chirp_phase,
     eval_trig,
     field_fourier,
+    shift_spectral,
     spectral_coefficients,
     upsample2,
 )
@@ -200,22 +201,40 @@ def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int = FIELD_N_GUARD
 
     `b` has shape (n1, n2, n1, n2) with slots (x, xi, u, v): position pair
     first, frequency pair second.  `n_guard` caps the points per axis.
+
+    The kernel is the midpoint quantization of each axis pair: after the lag
+    transform over the frequency slots, entry (k, m) reads the symbol at the
+    midpoint (x_k + x_m) / 2 and lag index (k - m + n/2) % n.  Parity rule:
+    n is even, so k + m has the parity of lag + n/2.  Lags of one parity
+    therefore need only grid midpoints and the others only half-step ones,
+    which come from an exact spectral shift of those lag slices (Nyquist at
+    -N/2, as in `upsample2`); no 2x-upsampled symbol is formed.
     """
     n1, n2 = axes[0].n, axes[1].n
     if max(n1, n2) > n_guard:
         raise GridError(f"weyl_4d guard: N <= {n_guard} per axis")
     if b.shape != (n1, n2, n1, n2):
         raise GridError("4d symbol shape mismatch")
-    # lag transform over both frequency slots, then midpoint oversampling
-    # over both position slots: the two act on disjoint axes and commute, so
-    # the lag transform runs before the padding, on the n^4 array
     B = centered_dft(b, (2, 3), (axes[0].freq_step, axes[1].freq_step), inverse=True)
-    B = upsample2(B, (0, 1))
-    k1 = np.arange(n1)[:, None, None, None]
-    k2 = np.arange(n2)[None, :, None, None]
-    m1 = np.arange(n1)[None, None, :, None]
-    m2 = np.arange(n2)[None, None, None, :]
-    K = B[k1 + m1, k2 + m2, (k1 - m1 + n1 // 2) % n1, (k2 - m2 + n2 // 2) % n2]
+    # parity rule: the lags with odd lag + n/2 need half-step midpoints, so
+    # those slices move half a step along their position slot; every entry
+    # then reads midpoint index (k + m) // 2
+    maps = []
+    for pos, ax in enumerate(axes):
+        n = ax.n
+        odd = [slice(None)] * 4
+        odd[pos + 2] = slice((n // 2 + 1) % 2, None, 2)
+        odd = tuple(odd)
+        B[odd] = shift_spectral(B[odd], pos, ax, ax.step / 2)
+        k = np.arange(n)[:, None]
+        m = np.arange(n)[None, :]
+        maps.append(((k + m) // 2, (k - m + n // 2) % n))
+    # flat index of B[p1, p2, l1, l2] in C order, split into one n^2 map per
+    # axis pair: (p1 n1 n2 + l1) n2 and p2 n1 n2 + l2
+    (p1, l1), (p2, l2) = maps
+    rows = (p1 * n1 * n2 + l1) * n2
+    cols = p2 * n1 * n2 + l2
+    K = B.take(rows[:, None, :, None] + cols[None, :, None, :])
     # no lag mask here: field-side kernels (e.g. of pullback symbols constant
     # along phase-space lines) genuinely do not decay in the lag variables
     K *= axes[0].step * axes[1].step

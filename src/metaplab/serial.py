@@ -109,10 +109,11 @@ def _save(path, header: dict, values) -> None:
 
 
 def _read_complex(path: Path, count: int) -> np.ndarray:
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size != 2 * count:
-        raise ValueError(f"binary sidecar holds {raw.size // 2} samples, expected {count}")
-    return raw[0::2] + 1j * raw[1::2]
+    raw = path.read_bytes()
+    if len(raw) != 16 * count:
+        raise ValueError(f"binary sidecar holds {len(raw) // 16} samples, expected {count}")
+    # one complex read keeps signed zeros exact
+    return np.frombuffer(raw, dtype="<c16").copy()
 
 
 def _axis_header(ax: Axis) -> dict:

@@ -32,6 +32,18 @@ def test_signal_roundtrip(tmp_path, grid256, rng):
     assert back.grid.axes == f.grid.axes
 
 
+def test_signal_roundtrip_is_bit_exact(tmp_path):
+    # array_equal treats -0.0 and 0.0 as equal, so compare the bits
+    grid = default_grid(16)
+    vals = np.full(16, complex(-0.0, 1.0))
+    vals[1::2] = complex(2.5, -0.0)
+    f = gaussian(grid).with_values(vals)
+    save_signal(tmp_path / "sig", f)
+    back = load_signal(tmp_path / "sig")
+    assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+    back.values[0] = 0.0  # the loaded samples are writable
+
+
 def test_field_roundtrip(tmp_path, phi):
     W = wigner_cross(phi, phi)
     save_field(tmp_path / "field", W)

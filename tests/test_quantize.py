@@ -1,5 +1,7 @@
 """Quantization: Weyl matrices, requantization, pullbacks, conjugation identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,7 +280,8 @@ def _weyl_4d_per_axis(b, axes):
     return (axes[0].step * axes[1].step) * K.reshape(n1 * n2, n1 * n2)
 
 
-@pytest.mark.parametrize("n", [16, 24])
+# n = 18 is the first size with odd n/2, where the half-step lags start at 0
+@pytest.mark.parametrize("n", [16, 18, 24, 32])
 def test_weyl_4d_matches_per_axis_route(n):
     ax = default_grid(n).axes[0]
     axes = (ax, ax.dual())
@@ -286,6 +289,21 @@ def test_weyl_4d_matches_per_axis_route(n):
     want = _weyl_4d_per_axis(b, axes)
     got = weyl_4d(b, axes).matrix
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_weyl_4d_peak_memory():
+    # the 2x-upsampled symbol alone would be 4 b.nbytes
+    ax = default_grid(32).axes[0]
+    axes = (ax, ax.dual())
+    b = symbol_pullback(tau_matrix(0.3), atilted_symbol(ax), "b", axes)
+    weyl_4d(b, axes)
+    tracemalloc.start()
+    try:
+        weyl_4d(b, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * b.nbytes, peak / b.nbytes
 
 
 def test_conjugation_A6_real_for_self_adjoint():
