@@ -83,6 +83,7 @@ from .quantize import (
     DenseOperator,
     weyl,
     weyl_4d,
+    weyl_4d_apply,
     inverse_weyl,
     op_A,
     requantize,

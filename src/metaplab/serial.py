@@ -53,6 +53,8 @@ def dumps_deterministic(obj) -> str:
             return [convert(v) for v in o]
         if isinstance(o, (np.floating, float)):
             return float(o)  # repr round-trips, as the 17-digit text does
+        if isinstance(o, (np.bool_, bool)):  # before int: bool is an int
+            return bool(o)
         if isinstance(o, (np.integer, int)):
             return int(o)
         if isinstance(o, np.ndarray):

@@ -8,6 +8,7 @@ import pytest
 from metaplab.cli import main
 from metaplab.exprparse import ExprError, compile_expression
 from metaplab.serial import (
+    dumps_deterministic,
     field_csv,
     load_field,
     load_signal,
@@ -181,6 +182,23 @@ def test_cli_dump_config(tmp_path, capsys):
     cfg = json.loads(out)
     assert cfg["signal"] == "hermite:2"
     assert cfg["rep"] == "tau:0.5"
+
+
+def test_dumps_deterministic_writes_booleans():
+    text = dumps_deterministic({"a": True, "b": np.bool_(False), "c": 1})
+    assert text == '{\n "a": true,\n "b": false,\n "c": 1\n}'
+
+
+def test_cli_boolean_config_round_trip(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"estimate_chi": True}))
+    assert main(["gaborscan", "--config", str(cfg_file), "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert '"estimate_chi": true' in dumped
+    # the dumped config loads again as a config file
+    cfg_file.write_text(json.dumps({k: v for k, v in json.loads(dumped).items() if k != "command"}))
+    assert main(["gaborscan", "--config", str(cfg_file), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):

@@ -17,9 +17,11 @@ from metaplab.quantize import (
     symbol_pullback,
     weyl,
     weyl_4d,
+    weyl_4d_apply,
 )
 from metaplab.signals import (
     GridError,
+    SamplingError,
     default_grid,
     fourier,
     gaussian,
@@ -304,6 +306,63 @@ def test_weyl_4d_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * b.nbytes, peak / b.nbytes
+
+
+def _random_4d(rng, axes):
+    shape = (axes[0].n, axes[1].n) * 2
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# square self-dual grids, then mixed axes that are not each other's duals
+@pytest.mark.parametrize("n1, n2", [(16, 16), (18, 18), (24, 24), (32, 32), (16, 18), (18, 12)])
+def test_weyl_4d_apply_matches_matrix_and_per_axis_route(n1, n2, rng):
+    axes = (default_grid(n1).axes[0], default_grid(n2).axes[0].dual())
+    b = _random_4d(rng, axes)
+    W = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+    got = weyl_4d_apply(b, axes, W)
+    assert got.shape == (n1, n2)
+    for K in (weyl_4d(b, axes).matrix, _weyl_4d_per_axis(b, axes)):
+        want = (K @ W.ravel()).reshape(n1, n2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_weyl_4d_apply_peak_memory():
+    # the dense build plus its matvec peaks at 2.5 b.nbytes
+    ax = default_grid(32).axes[0]
+    axes = (ax, ax.dual())
+    b = symbol_pullback(tau_matrix(0.3), atilted_symbol(ax), "b", axes)
+    W = np.ones((32, 32), dtype=complex)
+    weyl_4d_apply(b, axes, W)
+    tracemalloc.start()
+    try:
+        weyl_4d_apply(b, axes, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * b.nbytes, peak / b.nbytes
+
+
+def test_weyl_4d_apply_refuses_nonfinite_output(monkeypatch):
+    grid = default_grid(16)
+    ax = grid.axes[0]
+    axes = (ax, ax.dual())
+    b = np.ones((16,) * 4, dtype=complex)
+    b[3, 4, 5, 6] = np.nan
+    with pytest.raises(SamplingError, match="weyl_4d"):
+        weyl_4d_apply(b, axes, np.ones((16, 16)))
+    with pytest.raises(GridError):
+        weyl_4d_apply(np.ones((16,) * 4), axes, np.ones(256))
+    # a pullback with one nan entry: a guard error, not nan residuals
+    pullback = quantize.symbol_pullback
+
+    def one_nan(*args, **kwargs):
+        out = pullback(*args, **kwargs)
+        out[0, 0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(quantize, "symbol_pullback", one_nan)
+    with pytest.raises(SamplingError, match="weyl_4d"):
+        conjugation_check(tau_matrix(0.5), gauss_symbol(ax), gaussian(grid), hermite(grid, 1))
 
 
 def test_conjugation_A6_real_for_self_adjoint():
