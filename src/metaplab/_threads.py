@@ -9,13 +9,15 @@ __all__ = ["max_workers", "thread_map"]
 
 
 def max_workers() -> int:
+    """METAPLAB_THREADS if set (at most one per CPU), else up to 4."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("METAPLAB_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            return max(1, min(int(env), cpus))
         except ValueError:
             return 1
-    return max(1, min(4, os.cpu_count() or 1))
+    return min(4, cpus)
 
 
 def thread_map(fn, items):

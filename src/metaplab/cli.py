@@ -252,9 +252,11 @@ def cmd_evolve(cfg: dict) -> int:
     meta = {"hamiltonian": cfg["hamiltonian"], "times": times,
             "unitarity_max_dev": max(abs(nrm - u0.norm()) for nrm in norms)}
     if check_tau is not None and sigma is None:
-        residuals = [evolved_wigner_check(quad, check_tau, t, u0)["residual"] for t in times]
-        write_csv(out / "transport_residuals.csv", ("t", "residual"), (times, residuals))
+        checks = [evolved_wigner_check(quad, check_tau, t, u0) for t in times]
+        write_csv(out / "transport_residuals.csv", ("t", "residual"),
+                  (times, [c["residual"] for c in checks]))
         meta["transport_check_tau"] = check_tau
+        meta["transport_routes"] = [c["route"] for c in checks]
     write_json(out / "meta.json", meta)
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .metaplectic import dense_matrix
 from .quantize import DenseOperator, SymbolGrid, inverse_weyl, weyl
-from .signals import Axis, GridError, GridSignal
+from .signals import Axis, GridError, GridSignal, tf_shift
 from .symplectic import SymplecticMatrix, sympl
 
 __all__ = [
@@ -55,17 +55,6 @@ class GaborLattice:
     def separable(cls, dx: float, dxi: float, radius: float) -> "GaborLattice":
         return cls(np.diag([dx, dxi]), radius)
 
-    @classmethod
-    def for_window(cls, g: GridSignal, dx: float = 0.5, dxi: float = 0.5) -> "GaborLattice":
-        """Default truncation at six standard deviations of the window."""
-        ax = g.grid.axes[0]
-        t = ax.points()
-        w = np.abs(g.values) ** 2
-        w = w / np.sum(w)
-        mean = float(np.sum(t * w))
-        std = float(np.sqrt(np.sum((t - mean) ** 2 * w)))
-        return cls.separable(dx, dxi, max(6.0 * std, dx + dxi))
-
     def points(self) -> np.ndarray:
         """All lattice points with sup-norm at most the truncation radius."""
         # conservative integer search box
@@ -91,24 +80,12 @@ class GaborLattice:
         )
 
 
-def _shift_bank_signals(g: GridSignal, pts: np.ndarray) -> np.ndarray:
-    """Columns pi(lambda) g over the lattice points (exact on-grid shifts)."""
-    ax = g.grid.axes[0]
-    n = ax.n
-    cols = np.empty((n, len(pts)), dtype=np.complex128)
-    t = ax.points()
-    for i, (x0, xi0) in enumerate(pts):
-        steps = int(round(x0 / ax.step))
-        cols[:, i] = np.roll(g.values, steps) * np.exp(2j * np.pi * xi0 * t)
-    return cols
-
-
 def frame_bounds(g: GridSignal, lattice: GaborLattice) -> tuple[float, float]:
     """Extreme eigenvalues of the discrete frame operator of {pi(lam) g}."""
     ax = g.grid.axes[0]
     if not lattice.on_grid(ax):
         raise FrameError("lattice points are not on the signal grid")
-    P = _shift_bank_signals(g, lattice.points())
+    P = np.stack([tf_shift(g, p).values for p in lattice.points()], axis=1)
     S = ax.step * (P @ P.conj().T)
     evals = np.linalg.eigvalsh(S)
     A, B = float(evals[0]), float(evals[-1])
@@ -139,7 +116,8 @@ def gabor_matrix(
         raise FrameError("lattice points are not on the signal grid")
     T_mat = T.matrix if isinstance(T, DenseOperator) else np.asarray(T)
     pts = lattice.points()
-    P = _shift_bank_signals(g, pts)
+    # columns pi(lambda) g: exact circular shifts, the lattice is on-grid
+    P = np.stack([tf_shift(g, p).values for p in pts], axis=1)
     M = ax.step * (P.conj().T @ (T_mat @ P)).T
     bound = norm_estimate if norm_estimate is not None else np.linalg.norm(T_mat, 2)
     gnorm2 = g.norm() ** 2

@@ -134,12 +134,6 @@ class DenseOperator:
         shape = f.values.shape
         return f.with_values((self.matrix @ f.values.ravel()).reshape(shape))
 
-    def compose(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.matrix @ other.matrix, self.axes, self.kind)
-
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T, self.axes, self.kind)
-
     def max_nonhermitian(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 

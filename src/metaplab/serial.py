@@ -23,8 +23,6 @@ __all__ = [
     "load_signal",
     "save_field",
     "load_field",
-    "save_operator_matrix",
-    "load_operator_matrix",
     "matrix_to_json",
     "matrix_from_json",
     "signal_csv",
@@ -128,14 +126,13 @@ def save_signal(path, sig: GridSignal) -> None:
     _save(path, {"kind": "signal", "dim": sig.grid.dim, "axes": axes}, sig.values)
 
 
-def _read_header(base: Path, kind: str, keys=("axes",)) -> dict:
-    """The JSON header of `base`, checked for its kind and its keys."""
+def _read_header(base: Path, kind: str) -> dict:
+    """The JSON header of `base`, checked for its kind and its axes."""
     header = json.loads(_with_ext(base, ".json").read_text())
     if not isinstance(header, dict) or header.get("kind") != kind:
         raise ValueError(f"{base}: not a {kind} header")
-    for key in keys:
-        if key not in header:
-            raise ValueError(f"{base}: {kind} header has no {key!r}")
+    if "axes" not in header:
+        raise ValueError(f"{base}: {kind} header has no 'axes'")
     return header
 
 
@@ -176,20 +173,6 @@ def load_field(path) -> PhaseSpaceField:
     ax1, ax2 = axes
     vals = _read_complex(_with_ext(base, ".bin"), ax1.n * ax2.n)
     return PhaseSpaceField(ax1, ax2, vals.reshape(ax1.n, ax2.n))
-
-
-def save_operator_matrix(path, matrix: np.ndarray, axes) -> None:
-    axes = [_axis_header(ax) for ax in axes]
-    _save(path, {"kind": "operator", "shape": list(matrix.shape), "axes": axes}, matrix)
-
-
-def load_operator_matrix(path) -> tuple[np.ndarray, tuple[Axis, ...]]:
-    base = Path(path)
-    header = _read_header(base, "operator", ("shape", "axes"))
-    shape = tuple(header["shape"])
-    vals = _read_complex(_with_ext(base, ".bin"), int(np.prod(shape)))
-    axes = _axes_from_header(base, header)
-    return vals.reshape(shape), axes
 
 
 def matrix_to_json(M) -> str:

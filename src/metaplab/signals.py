@@ -29,7 +29,6 @@ __all__ = [
     "inverse_fourier",
     "field_fourier",
     "partial_fourier_2",
-    "inverse_partial_fourier_2",
     "chirp_multiply",
     "rescale",
     "tf_shift",
@@ -294,11 +293,6 @@ def partial_fourier_2(F: PhaseSpaceField) -> PhaseSpaceField:
     return PhaseSpaceField(F.x_axis, F.xi_axis.dual(), vals)
 
 
-def inverse_partial_fourier_2(F: PhaseSpaceField) -> PhaseSpaceField:
-    vals = centered_dft(F.values, 1, F.xi_axis.freq_step, inverse=True)
-    return PhaseSpaceField(F.x_axis, F.xi_axis.dual(), vals)
-
-
 def spectral_coefficients(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
     """Coefficients c_j with f(t) = sum_j c_j exp(2 pi i xi_j t) along `axis`."""
     return centered_dft(values, axis, ax.step * ax.freq_step, inverse=False)
@@ -318,13 +312,18 @@ def eval_trig(values: np.ndarray, axis: int, ax: Axis, points: np.ndarray) -> np
     return np.moveaxis(out, -1, axis)
 
 
-def shift_spectral(values: np.ndarray, axis: int, ax: Axis, amount: float) -> np.ndarray:
-    """Samples of f(t + amount) via the exact phase ramp (unitary for any amount)."""
+def shift_spectral(values: np.ndarray, axis: int, ax: Axis, amount) -> np.ndarray:
+    """Samples of f(t + amount) along `axis` via the exact phase ramp.
+
+    Unitary for any amount.  `amount` is a scalar, or an array that
+    broadcasts against `values` with length 1 on `axis`: one shift per slice,
+    so a length-1 slot of `values` becomes a bank of shifted copies.
+    """
     coeff = spectral_coefficients(values, axis, ax)
-    ramp = np.exp(2j * np.pi * ax.freqs() * amount)
     shape = [1] * values.ndim
     shape[axis] = -1
-    return synthesize(coeff * ramp.reshape(shape), axis)
+    ramp = np.exp(2j * np.pi * (ax.freqs().reshape(shape) * np.asarray(amount)))
+    return synthesize(coeff * ramp, axis)
 
 
 def _zero_pad_spectrum(spec: np.ndarray, axis: int) -> np.ndarray:
@@ -433,18 +432,6 @@ def _axis_scale(values: np.ndarray, axis: int, ax: Axis, factor: float) -> np.nd
     return out
 
 
-def _axis_shear(values: np.ndarray, axes, which: int, coef: float) -> np.ndarray:
-    """F(.., t_which + coef * t_other, ..) via per-slice exact phase ramps."""
-    if coef == 0.0:
-        return values
-    other = 1 - which
-    pts = axes[other].points()
-    coeff = spectral_coefficients(values, which, axes[which])
-    phase = np.exp(2j * np.pi * np.outer(axes[which].freqs(), coef * pts))
-    coeff = coeff * (phase if which == 0 else phase.T)
-    return synthesize(coeff, which)
-
-
 def _lu_step_plans(M: np.ndarray):
     """Candidate elementary-step factorizations of M (each list applied in order).
 
@@ -512,8 +499,13 @@ def _compose_linear_2d(values: np.ndarray, axes, M: np.ndarray) -> np.ndarray:
     out = values
     for step in plan:
         if step[0] == "shear":
+            # F(.., t_axis + coef * t_other, ..): one exact shift per slice
             _, axis, coef = step
-            out = _axis_shear(out, axes, axis, coef)
+            if coef != 0.0:
+                shape = [1] * out.ndim
+                shape[1 - axis] = -1
+                amount = (coef * axes[1 - axis].points()).reshape(shape)
+                out = shift_spectral(out, axis, axes[axis], amount)
         else:
             _, f0, f1 = step
             out = _axis_scale(out, 0, axes[0], f0)

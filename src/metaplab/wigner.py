@@ -26,8 +26,8 @@ from .signals import (
     conjugate,
     eval_trig,
     field_fourier,
+    shift_spectral,
     spectral_coefficients,
-    synthesize,
     tensor,
     upsample2,
 )
@@ -93,28 +93,14 @@ def wigner_cross(f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     return PhaseSpaceField(ax, ax.dual(), W)
 
 
-def _shift_bank(values: np.ndarray, ax: Axis, amounts: np.ndarray) -> np.ndarray:
-    """Column m holds samples of f(t + amounts[m]); exact spectral shifts."""
-    coeff = spectral_coefficients(values, 0, ax)
-    E = np.exp(2j * np.pi * np.outer(ax.freqs(), amounts))
-    return synthesize(coeff[:, None] * E, 0)
-
-
-def _eta_dft(P: np.ndarray, ax: Axis) -> np.ndarray:
-    """step * sum_m P[:, m] e^{-2 pi i eta_m xi_j}: centered DFT on axis 1."""
-    return centered_dft(P, 1, ax.step, inverse=False)
-
-
 def tau_wigner(f: GridSignal, g: GridSignal, tau: float) -> PhaseSpaceField:
-    """Interpolating family: Rihaczek at 0, Wigner at 1/2, conjugate at 1."""
+    """Interpolating family: Rihaczek at 0, Wigner at 1/2, conjugate at 1.
+
+    The covariant representation with A11 = (1 - tau) I, A13 = A21 = 0.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    ax = _same_grid(f, g)
-    eta = ax.points()
-    F_sh = _shift_bank(f.values, ax, tau * eta)
-    G_sh = _shift_bank(g.values, ax, -(1.0 - tau) * eta)
-    W = _eta_dft(F_sh * np.conj(G_sh), ax)
-    return PhaseSpaceField(ax, ax.dual(), W)
+    return wigner_A_covariant(CovariantForm.tau(tau), f, g)
 
 
 def stft(f: GridSignal, g: GridSignal) -> PhaseSpaceField:
@@ -152,8 +138,9 @@ def wigner_A_covariant(form: CovariantForm, f: GridSignal, g: GridSignal) -> Pha
     a21 = float(form.a21[0, 0])
     a13 = float(form.a13[0, 0])
     eta = ax.points()
-    F_sh = _shift_bank(f.values, ax, (1.0 - a11) * eta)
-    G_sh = _shift_bank(g.values, ax, -a11 * eta)
+    # column m holds f(x + (1 - a11) eta_m), resp. g(x - a11 eta_m)
+    F_sh = shift_spectral(f.values[:, None], 0, ax, ((1.0 - a11) * eta)[None, :])
+    G_sh = shift_spectral(g.values[:, None], 0, ax, (-a11 * eta)[None, :])
     P = F_sh * np.conj(G_sh)
     if a21 != 0.0:
         chirp_guard((ax,), a21)
@@ -164,7 +151,7 @@ def wigner_A_covariant(form: CovariantForm, f: GridSignal, g: GridSignal) -> Pha
         chirp_guard((ax.dual(),), -a13)
         hat *= np.exp(-1j * np.pi * a13 * ax.dual().points() ** 2)[:, None]
         P = centered_dft(hat, 0, ax.freq_step, inverse=True)
-    W = _eta_dft(P, ax)
+    W = centered_dft(P, 1, ax.step, inverse=False)
     return PhaseSpaceField(ax, ax.dual(), W)
 
 

@@ -13,7 +13,7 @@ from metaplab.gabor import (
 )
 from metaplab.metaplectic import dense_matrix
 from metaplab.quantize import DenseOperator, SymbolGrid, weyl
-from metaplab.signals import GridSignal, phase_align
+from metaplab.signals import GridSignal, default_grid, phase_align
 from metaplab.symplectic import SymplecticMatrix, V_C, standard_J
 
 
@@ -206,4 +206,18 @@ def test_metaplectic_factor_roundtrip(grid256, phi):
     assert rep["residual_left"] <= 1e-6
     want = a.sample().values
     assert np.max(np.abs(sigma1.values - want)) <= 1e-6
+    assert rep["composition_max_err"] <= 1e-8
+
+
+def test_metaplectic_factor_off_the_fourier_case():
+    # chi = V_C(0.5) J shears the symbol: sigma2 = sigma1 o chi must still
+    # match on the interior
+    ax = default_grid(128).axes[0]
+    chi = SymplecticMatrix(V_C(0.5) @ standard_J(1))
+    a = SymbolGrid.from_function(
+        lambda x, xi: np.exp(-np.pi * (x ** 2 + xi ** 2) / 4.0), ax
+    )
+    T = DenseOperator(weyl(a, ax).matrix @ dense_matrix(chi, ax), (ax,), "signal")
+    _, _, rep = metaplectic_factor(T, chi)
+    assert rep["verified"]
     assert rep["composition_max_err"] <= 1e-8

@@ -225,6 +225,8 @@ def test_cli_evolve(tmp_path):
     assert max(abs(n - 1.0) for n in norms) <= 1e-8
     resid = (tmp_path / "transport_residuals.csv").read_text().splitlines()
     assert all(float(r.split(",")[1]) <= 1e-5 for r in resid[1:])
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["transport_routes"] == ["covariant", "covariant"]
     # t = 0 output equals the input samples bit-exactly
     u0 = load_signal(tmp_path / "u_0")
     grid = default_grid(256)
@@ -271,6 +273,24 @@ def test_cli_evolve_nonfinite_sigma_is_a_guard(tmp_path, sigma):
                    "--times", "0.1", "--out", str(tmp_path)])
     assert rc == 3
     assert not (tmp_path / "conservation.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    "--times 0.064,0.088 --u0 hermite:2 --check-tau 0.025",
+    "--times 0.071,0.085 --u0 hermite:1 --check-tau 0.976",
+    "--times 0.016,0.046,0.072,0.082 --u0 gaussian --check-tau 0.991",
+    "--times 0.016,0.036,0.070,0.089 --u0 hermite:2 --check-tau 0.050",
+])
+def test_cli_evolve_check_tau_past_the_a13_chirp_guard(tmp_path, args):
+    # the evolved form's A13 multiplier aliases at the last time: the check
+    # falls back to the generator chain instead of exiting 3
+    rc = main(["evolve", "--n", "256", "--hamiltonian", "free", *args.split(),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    resid = (tmp_path / "transport_residuals.csv").read_text().splitlines()[1:]
+    assert all(float(r.split(",")[1]) <= 1e-5 for r in resid)
+    routes = json.loads((tmp_path / "meta.json").read_text())["transport_routes"]
+    assert len(routes) == len(resid) and routes[-1] == "chain"
 
 
 def test_cli_evolve_check_tau_irrational_grid(tmp_path):

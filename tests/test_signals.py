@@ -1,11 +1,13 @@
 """Grid transforms against brute-force quadrature of the defining integrals."""
 
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metaplab._threads import max_workers
 from metaplab.signals import (
     Axis,
     GridError,
@@ -24,6 +26,7 @@ from metaplab.signals import (
     partial_fourier_2,
     rescale,
     self_dual_axis,
+    shift_spectral,
     smooth_noise,
     tensor,
     tf_shift,
@@ -209,6 +212,43 @@ def test_eval_trig_and_upsample(grid256, phi):
     fine = upsample2(phi.values, 0)
     tfine = -ax.half_width + ax.step / 2 * np.arange(2 * ax.n)
     assert np.max(np.abs(fine - 2.0 ** 0.25 * np.exp(-np.pi * tfine ** 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_shift_spectral_one_amount_per_slice(rng, axis):
+    axes = (Axis(16, 2.0), Axis(12, 1.5))
+    ax = axes[axis]
+    v = rng.standard_normal((16, 12)) + 1j * rng.standard_normal((16, 12))
+    other = 1 - axis
+    amounts = rng.uniform(-1.0, 1.0, v.shape[other])
+    tol = 1e-14 * np.max(np.abs(v))
+    got = shift_spectral(v, axis, ax, np.expand_dims(amounts, axis))
+    for j, a in enumerate(amounts):
+        line = np.take(v, j, axis=other)
+        want = shift_spectral(line, 0, ax, a)
+        assert np.max(np.abs(np.take(got, j, axis=other) - want)) <= tol
+        oracle = eval_trig(line, 0, ax, ax.points() + a)
+        assert np.max(np.abs(want - oracle)) <= tol
+
+
+def test_shift_spectral_bank_from_length_one_slot(rng):
+    ax = Axis(32, 3.0)
+    f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    amounts = rng.uniform(-2.0, 2.0, 7)
+    tol = 1e-14 * np.max(np.abs(f))
+    bank = shift_spectral(f[:, None], 0, ax, amounts[None, :])
+    assert bank.shape == (32, 7)
+    for m, a in enumerate(amounts):
+        assert np.max(np.abs(bank[:, m] - shift_spectral(f, 0, ax, a))) <= tol
+        assert np.max(np.abs(bank[:, m] - eval_trig(f, 0, ax, ax.points() + a))) <= tol
+
+
+def test_max_workers_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("METAPLAB_THREADS", str(10 ** 9))
+    assert max_workers() == 3
+    monkeypatch.setenv("METAPLAB_THREADS", "2")
+    assert max_workers() == 2
 
 
 def test_grid_validation():
