@@ -61,7 +61,7 @@ from .symplectic import (
     SymplecticMatrix,
     standard_J,
 )
-from .wigner import stft, tau_wigner, wigner_A, wigner_A_covariant
+from .wigner import stft, wigner_A, wigner_A_covariant
 
 __all__ = ["main"]
 
@@ -129,7 +129,7 @@ def _parse_rep(spec: str):
         (tau,) = _numbers(arg, 1, "tau wants one number")
         if not 0.0 <= tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-        return ("tau", tau)
+        return ("cov", CovariantForm.tau(tau))
     if name == "stft":
         return ("stft", None)
     if name == "cov":
@@ -169,6 +169,13 @@ def _merge_config(defaults: dict, config_path: str | None, cli_pairs: dict) -> d
     return effective
 
 
+def _boolean(value) -> bool:
+    """JSON true/false, or 0 and 1 as older dumps wrote them."""
+    if isinstance(value, bool) or (isinstance(value, int) and value in (0, 1)):
+        return bool(value)
+    raise ValueError(f"must be true or false, got {value!r}")
+
+
 def _grid_from(cfg: dict):
     return default_grid(cfg["n"], cfg.get("half_width"))
 
@@ -185,9 +192,7 @@ def cmd_wigner(cfg: dict) -> int:
     f = _parse_signal(cfg["signal"], grid)
     kind, arg = _parse_rep(cfg["rep"])
     window = gaussian(grid)
-    if kind == "tau":
-        F = tau_wigner(f, f, arg)
-    elif kind == "stft":
+    if kind == "stft":
         F = stft(f, window)
     elif kind == "cov":
         F = wigner_A_covariant(arg, f, f)
@@ -316,9 +321,7 @@ def cmd_wfs(cfg: dict) -> int:
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
     kind, arg = _parse_rep(cfg["rep"])
-    if kind == "tau":
-        rep = CovariantForm.tau(arg)
-    elif kind == "cov":
+    if kind == "cov":
         rep = arg
     elif kind == "stft":
         rep = "stft_global"
@@ -378,7 +381,7 @@ _TYPED = {
     "half_width": (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "r0": (float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     "check_tau": (float, math.isfinite, "finite"),
-    "estimate_chi": (bool, None, None),
+    "estimate_chi": (_boolean, None, None),
 }
 
 _RUNNERS = {
@@ -404,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in _DEFAULTS[command]:
             flag = "--" + key.replace("_", "-")
             kind = _TYPED.get(key, (str,))[0]
-            if kind is bool:
+            if kind is _boolean:
                 sp.add_argument(flag, dest=key, action="store_const", const=True)
             else:
                 sp.add_argument(flag, dest=key, type=kind, help=_FLAG_HELP.get(key))

@@ -26,7 +26,6 @@ from .signals import (
     field_fourier,
     shift_spectral,
     spectral_coefficients,
-    upsample2,
 )
 from .symplectic import (
     BlockDecomposition,
@@ -159,11 +158,16 @@ def _half_points(ax: Axis) -> np.ndarray:
 
 
 def _symbol_half_samples(a: SymbolGrid, ax: Axis) -> np.ndarray:
-    """Samples a(x_half_p, xi_j): exact from the callable, interpolated else."""
+    """Samples a(x_half_p, xi_j): exact from the callable, interpolated else.
+
+    Sampled symbols keep their rows at even p and take the odd ones from the
+    half-step shift of the band-limited interpolant.
+    """
     if a.func is not None:
         X, Y = np.meshgrid(_half_points(ax), a.xi_axis.points(), indexing="ij")
         return np.asarray(a.func(X, Y), dtype=np.complex128)
-    return upsample2(a.values, 0)
+    half = shift_spectral(a.values, 0, a.x_axis, a.x_axis.step / 2)
+    return np.stack([a.values, half], axis=1).reshape(2 * a.x_axis.n, -1)
 
 
 def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> DenseOperator:
@@ -249,11 +253,11 @@ def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int = FIELD_N_GUARD
     therefore need only grid midpoints and the others only half-step ones,
     which come from multiplying those lag slices along their position slot
     by the n x n half-step shift matrix
-    S = shift_spectral(eye(n), 0, ax, ax.step / 2) (Nyquist at -N/2, as in
-    `upsample2`); no 2x-upsampled symbol is formed.  The matrix is built row
-    slab by row slab through the same code as `weyl_4d_apply`.  No lag mask:
-    field-side kernels (e.g. of pullback symbols constant along phase-space
-    lines) genuinely do not decay in the lag variables.
+    S = shift_spectral(eye(n), 0, ax, ax.step / 2), the one half-step
+    mechanism of the package; no 2x-upsampled symbol is formed.  The matrix
+    is built row slab by row slab through the same code as `weyl_4d_apply`.
+    No lag mask: field-side kernels (e.g. of pullback symbols constant along
+    phase-space lines) genuinely do not decay in the lag variables.
     """
     n1, n2 = axes[0].n, axes[1].n
     slabs = _weyl_4d_slabs(b, axes, n_guard)
@@ -291,13 +295,12 @@ def weyl_4d_apply(b: np.ndarray, axes: tuple[Axis, Axis], W: np.ndarray,
 def inverse_weyl(op: DenseOperator) -> PhaseSpaceField:
     """Weyl symbol of a signal-side dense operator.
 
-    Exact algebraic inverse of `weyl` on the grid model: the kernel entries
-    are reindexed to midpoint/lag coordinates B[p, q] (each (p, q) of the
-    admissible parity is hit exactly once), the missing parity is filled by
-    half-band completion in the midpoint variable (the symbol's spatial band
-    is half the Nyquist rate of the midpoint grid), and the lag transform is
-    inverted row by row.  Handles full-band kernels such as the identity
-    exactly, where interpolation-based routes ring.
+    Exact algebraic inverse of `weyl` on the grid model: lag column q of the
+    kernel holds the midpoint samples (x_k + x_m) / 2 = x_k - c_q dx / 2 with
+    c_q = q - n/2, which lie half a step off the grid for odd c_q.  One
+    band-limited shift per column puts every column on the grid, and the lag
+    transform is inverted row by row.  Handles full-band kernels such as the
+    identity exactly, where interpolation-based routes ring.
     """
     if op.kind != "signal":
         raise GridError("inverse_weyl handles signal-side operators")
@@ -305,26 +308,12 @@ def inverse_weyl(op: DenseOperator) -> PhaseSpaceField:
     n = ax.n
     # the inverse pairs with the lag-truncated forward: drop wrap entries
     K = _mask_wrap_lags(op.matrix / ax.step, (n,))
-    # gather: for each lag index q, the known midpoint samples B[p(k,q), q]
-    # with p(k, q) = (2k - c) mod 2n, c = q - n/2, indexed by k
+    # gather: samples[k, q] = K[k, m] with k - m = c_q (mod n)
     k = np.arange(n)
-    q = np.arange(n)
-    c = q - n // 2
-    m_idx = (k[:, None] - c[None, :]) % n  # m from k - m = c (mod n)
-    samples = K[k[:, None], m_idx]  # [k, q] = B[(2k - c) mod 2n, q]
-    # half-band completion: x[k] = y[(2k - c) mod 2n] with y 2n-periodic and
-    # half-band, i.e. y[p] = sum_r yhat_r e^{i pi r p / n}, r in [-n/2, n/2);
-    # then x[k] = sum_r (yhat_r e^{-i pi r c / n}) e^{2 pi i r k / n}
-    r = np.arange(n) - n // 2
-    E_dec = np.exp(-2j * np.pi * np.outer(r, k) / n) / n
-    z = E_dec @ samples  # [r, q]
-    yhat = z * np.exp(1j * np.pi * np.outer(r, c) / n)
-    p = np.arange(2 * n)
-    E_syn = np.exp(1j * np.pi * np.outer(p, r) / n)
-    B_full = E_syn @ yhat  # [p, q]
-    # invert the lag transform per midpoint row, keep the original-grid rows
-    a_up = centered_dft(B_full, 1, ax.step, inverse=False)
-    vals = a_up[::2, :]
+    c = k - n // 2
+    samples = K[k[:, None], (k[:, None] - c[None, :]) % n]
+    on_grid = shift_spectral(samples, 0, ax, (c * ax.step / 2)[None, :])
+    vals = centered_dft(on_grid, 1, ax.step, inverse=False)
     return PhaseSpaceField(ax, ax.dual(), vals)
 
 
@@ -482,8 +471,9 @@ def op_A_covariant_integral(form: CovariantForm, a: SymbolGrid, ax: Axis) -> Den
     hat = field_fourier(field)
     hat = hat.with_values(hat.values * chirp_phase((hat.x_axis, hat.xi_axis), C))
     smoothed = field_fourier(hat, inverse=True)
-    # lag transform of the smoothed symbol in xi
-    B = centered_dft(upsample2(smoothed.values, 0), 1, field.xi_axis.step, inverse=True)
+    # lag transform of the smoothed symbol in xi, on the half-step grid
+    half = _symbol_half_samples(SymbolGrid.from_field(smoothed), ax)
+    B = centered_dft(half, 1, field.xi_axis.step, inverse=True)
     n = ax.n
     x = ax.points()[:, None]
     y = ax.points()[None, :]

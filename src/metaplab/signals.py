@@ -317,49 +317,16 @@ def shift_spectral(values: np.ndarray, axis: int, ax: Axis, amount) -> np.ndarra
 
     Unitary for any amount.  `amount` is a scalar, or an array that
     broadcasts against `values` with length 1 on `axis`: one shift per slice,
-    so a length-1 slot of `values` becomes a bank of shifted copies.
+    so a length-1 slot of `values` becomes a bank of shifted copies.  The
+    Nyquist coefficient carries the ramp of frequency -N/2 (`Axis.freqs`).
+    The Weyl and Wigner routes take every half-step sample from here with
+    amount = step / 2, so they share this one Nyquist convention.
     """
     coeff = spectral_coefficients(values, axis, ax)
     shape = [1] * values.ndim
     shape[axis] = -1
     ramp = np.exp(2j * np.pi * (ax.freqs().reshape(shape) * np.asarray(amount)))
     return synthesize(coeff * ramp, axis)
-
-
-def _zero_pad_spectrum(spec: np.ndarray, axis: int) -> np.ndarray:
-    """Natural-order spectrum of length 2N: N zeros between the halves."""
-    n = spec.shape[axis]
-    shape = list(spec.shape)
-    shape[axis] = 2 * n
-    out = np.zeros(shape, dtype=spec.dtype)
-    src = [slice(None)] * spec.ndim
-    dst = list(src)
-    src[axis] = dst[axis] = slice(0, n // 2)
-    out[tuple(dst)] = spec[tuple(src)]
-    src[axis], dst[axis] = slice(n // 2, n), slice(n + n // 2, 2 * n)
-    out[tuple(dst)] = spec[tuple(src)]
-    return out
-
-
-def upsample2(values: np.ndarray, axes) -> np.ndarray:
-    """Exact 2x trigonometric upsampling along `axes` (step halves, window unchanged).
-
-    Works in natural FFT order, 2^k ifftn(pad(fftn(v))) over k axes: the
-    zeros go between the non-negative and the negative frequencies, so the
-    Nyquist term stays at -N/2.  The centred-grid phases cancel between
-    analysis and synthesis, so no signs or shifts are needed.  Each axis is
-    padded just before its own synthesis, so earlier syntheses run on the
-    smaller array.
-    """
-    axes = (axes,) if isinstance(axes, (int, np.integer)) else tuple(axes)
-    workers = max_workers()
-    # "forward" normalization scales analysis by 1/N and leaves synthesis
-    # unscaled: exactly the 2^k / (2N)^k the padded transform needs
-    out = scipy.fft.fftn(values, axes=axes, norm="forward", workers=workers)
-    for a in axes:
-        out = scipy.fft.ifft(_zero_pad_spectrum(out, a), axis=a, norm="forward",
-                             overwrite_x=True, workers=workers)
-    return out
 
 
 # ---------------------------------------------------------------------------

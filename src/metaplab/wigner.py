@@ -29,7 +29,6 @@ from .signals import (
     shift_spectral,
     spectral_coefficients,
     tensor,
-    upsample2,
 )
 from .symplectic import (
     BlockDecomposition,
@@ -67,22 +66,25 @@ def wigner_of_kernel(K: np.ndarray, ax: Axis) -> np.ndarray:
 
     a(x, xi) = Integral K(x + t/2, x - t/2) e^{-2 pi i t xi} dt with the lag t
     running over one torus period [-L, L): the same window the generator-chain
-    route integrates over, so the two routes agree to roundoff.  Half-step
-    arguments are made exact by 2x upsampling both kernel axes.  Letting the
-    lag run further would fold in the half-period ghost images of the
-    periodization.  This is also the inverse of the Weyl kernel construction
-    on band-limited data.
+    route integrates over, so the two routes agree to roundoff.  With the lag
+    t_m = (m - n/2) dx the pair (x_k + t/2, x_k - t/2) is a grid pair for even
+    lag indices d = m - n/2 and a pair shifted half a step on both axes for
+    odd ones, so K and its half-step shift on both axes hold every argument.
+    Letting the lag run further would fold in the half-period ghost images of
+    the periodization.  This is also the inverse of the Weyl kernel
+    construction on band-limited data.
     """
     n = ax.n
     if K.shape != (n, n):
         raise GridError("kernel shape must match the axis")
-    K_up = upsample2(np.asarray(K, dtype=np.complex128), (0, 1))
-    k = np.arange(n)[:, None]
-    m = np.arange(n)[None, :]
-    # s_m = (m - n/2) * dx / 2: x + s and x - s on the half-step grid
-    p = (2 * k + m - n // 2) % (2 * n)
-    q = (2 * k - m + n // 2) % (2 * n)
-    corr = K_up[p, q]
+    K = np.asarray(K, dtype=np.complex128)
+    h = ax.step / 2
+    K_hh = shift_spectral(shift_spectral(K, 0, ax, h), 1, ax, h)
+    d = np.arange(n) - n // 2
+    # x + t/2 and x - t/2 sit at grid indices i and i - d, half a step
+    # further on both when d is odd
+    i = (np.arange(n)[:, None] + d // 2) % n
+    corr = np.stack([K, K_hh])[d % 2, i, (i - d) % n]
     return centered_dft(corr, 1, ax.step, inverse=False)
 
 
@@ -155,7 +157,7 @@ def wigner_A_covariant(form: CovariantForm, f: GridSignal, g: GridSignal) -> Pha
     return PhaseSpaceField(ax, ax.dual(), W)
 
 
-def stft_reduction(A, f: GridSignal, g: GridSignal, oversample: int | None = None) -> PhaseSpaceField:
+def stft_reduction(A, f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     """Rescaled-window STFT route for totally Wigner-decomposable matrices.
 
     Requires the right-regularity blocks (A23, A24 and A11, A12 invertible).
@@ -175,10 +177,8 @@ def stft_reduction(A, f: GridSignal, g: GridSignal, oversample: int | None = Non
     L_mat = np.array([[a33, a23], [a34, a24]])
     beta = a24 / a23
     c_fac = a33 - a23 * a34 / a24
-    if oversample is None:
-        need = max(2.0, abs(1.0 / a23), (1.0 + abs(beta)) / 2.0 + 0.5)
-        oversample = 1 << int(np.ceil(np.log2(need)))
-    p = int(oversample)
+    need = max(2.0, abs(1.0 / a23), (1.0 + abs(beta)) / 2.0 + 0.5)
+    p = 1 << int(np.ceil(np.log2(need)))
     if p > 8:
         raise SymplecticError("reduction would need more than 8x oversampling")
     n = ax.n

@@ -94,6 +94,23 @@ def test_bad_numbers_in_config_match_flags(tmp_path):
         assert run(["wfs", "--config", str(cfg), "--out", str(tmp_path)]) == 2, field
 
 
+@pytest.mark.parametrize("value", ["false", "true", "yes", 2.5, 2, -1, 1.0])
+def test_bad_boolean_config_is_a_validation_error(tmp_path, value, capsys):
+    # bool("false") is True, so a loose conversion would run with the flag set
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimate_chi": value}))
+    assert run(["gaborscan", "--config", str(cfg), "--dump-config"]) == 2
+    assert "estimate_chi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, want", [(True, True), (False, False), (1, True), (0, False)])
+def test_boolean_config_accepts_json_booleans_and_0_1(tmp_path, value, want, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimate_chi": value}))
+    assert run(["gaborscan", "--config", str(cfg), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate_chi"] is want
+
+
 # config values for the fuzz, as (valid, bad): bad ones are out of range,
 # non-finite or of the wrong type; N stays at 16 or 32, so every run is small
 SIGNALS = (["gaussian", "hermite:2", "two-bump:1,1", "sign-gaussian"],
@@ -115,7 +132,7 @@ VALUES = {
                  ["matrix:{matrix}", "bogus"]),
     "lattice": ([], ["0,0.5,3", "nan,0.5,3", "0.5,0.5", "0.5,0.5,-1", "0.5,0.5,inf", 0.5]),
     "qs": (["1:0", "inf:0", "1:0,,0.5:1", "2:-1"], ["0:0", "nan:0", "1:nan", "1:inf", "1-0", "-1:0"]),
-    "estimate_chi": ([True, False, None, "yes", 0], []),
+    "estimate_chi": ([True, False, None, 0, 1], ["yes", "false", 2.5, 2]),
     "bins": ([1, 8, "8", 2.5], [0, -3, float("nan"), float("inf"), "abc"]),
     "r0": ([0, 1.5, "2"], [-1, float("nan"), float("inf"), "abc"]),
 }

@@ -7,6 +7,7 @@ import pytest
 
 import metaplab.quantize as quantize
 from metaplab.quantize import (
+    DenseOperator,
     SymbolGrid,
     conjugation_check,
     inverse_weyl,
@@ -93,6 +94,15 @@ def test_weyl_inverse_weyl_roundtrip():
     back = inverse_weyl(op)
     want = a.sample()
     assert np.max(np.abs(back.values - want.values)) <= 1e-8
+
+
+def test_inverse_weyl_of_identity_round_trips_exactly():
+    # the identity kernel is full-band: every lag column is a unit impulse
+    n = 256
+    ax = default_grid(n).axes[0]
+    symbol = inverse_weyl(DenseOperator(np.eye(n), (ax,), "signal"))
+    back = weyl(SymbolGrid.from_field(symbol))
+    assert np.max(np.abs(back.matrix - np.eye(n))) <= 1e-15
 
 
 def test_op_A_weyl_matrix_agreement(rng):

@@ -30,7 +30,6 @@ from metaplab.signals import (
     smooth_noise,
     tensor,
     tf_shift,
-    upsample2,
 )
 
 
@@ -209,9 +208,11 @@ def test_eval_trig_and_upsample(grid256, phi):
     got = eval_trig(phi.values, 0, ax, pts)
     want = 2.0 ** 0.25 * np.exp(-np.pi * pts ** 2)
     assert np.max(np.abs(got - want)) <= 1e-12
-    fine = upsample2(phi.values, 0)
+    half = shift_spectral(phi.values, 0, ax, ax.step / 2)
+    fine = np.stack([phi.values, half], axis=1).ravel()
     tfine = -ax.half_width + ax.step / 2 * np.arange(2 * ax.n)
     assert np.max(np.abs(fine - 2.0 ** 0.25 * np.exp(-np.pi * tfine ** 2))) <= 1e-12
+    assert np.max(np.abs(fine - roll_upsample2(phi.values, 0))) <= 1e-15
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -271,7 +272,7 @@ def roll_dft(values, axis, step, inverse):
 
 
 def roll_upsample2(values, axis):
-    """Centred-spectrum zero padding: the reference for `upsample2`."""
+    """Exact 2x upsampling along `axis` by centred-spectrum zero padding."""
     n = values.shape[axis]
     coeff = roll_dft(values, axis, 1.0 / n, inverse=False)
     pad = [(0, 0)] * values.ndim
@@ -299,12 +300,16 @@ def test_centered_dft_and_upsample2_match_shift_reference(shape, axes):
         if len(axes) == 1:
             single = centered_dft(v, axes[0], steps[0], inverse)
             assert np.array_equal(single, got)
-    want = v
+    # the upsampled rows: the samples at even indices, the half-step shift
+    # (Nyquist ramp at -N/2) at odd ones
     for a in axes:
-        want = roll_upsample2(want, a)
-    got = upsample2(v, axes)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        n = v.shape[a]
+        ax = Axis(n, 1.0 + a)
+        want = roll_upsample2(v, a)
+        tol = 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(np.take(want, np.arange(0, 2 * n, 2), axis=a) - v)) <= tol
+        half = shift_spectral(v, a, ax, ax.step / 2)
+        assert np.max(np.abs(np.take(want, np.arange(1, 2 * n, 2), axis=a) - half)) <= tol
 
 
 def test_only_signals_calls_the_fft():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from test_signals import roll_dft, roll_upsample2
 
 from metaplab.signals import (
+    Axis,
     PhaseSpaceField,
     gaussian,
     hermite,
@@ -29,6 +31,7 @@ from metaplab.wigner import (
     wigner_A,
     wigner_A_covariant,
     wigner_cross,
+    wigner_of_kernel,
     wiener_amalgam_norm,
 )
 
@@ -65,6 +68,26 @@ def test_wigner_gaussian_closed_form(phi):
     X, Y = np.meshgrid(x, xi, indexing="ij")
     want = 2.0 * np.exp(-2.0 * np.pi * (X ** 2 + Y ** 2))
     assert np.max(np.abs(W.values - want)) <= 1e-8
+
+
+def upsampled_wigner_of_kernel(K, ax):
+    """The lag integral read off the kernel upsampled 2x on both axes."""
+    n = ax.n
+    K_up = roll_upsample2(roll_upsample2(K, 0), 1)
+    k = np.arange(n)[:, None]
+    m = np.arange(n)[None, :]
+    corr = K_up[(2 * k + m - n // 2) % (2 * n), (2 * k - m + n // 2) % (2 * n)]
+    return roll_dft(corr, 1, ax.step, inverse=False)
+
+
+# n = 18 has odd n/2 and a window that is not self-dual
+@pytest.mark.parametrize("ax", [Axis(18, 2.0), Axis(64, 4.0), Axis(256, 8.0)],
+                         ids=lambda ax: f"n{ax.n}")
+def test_wigner_of_kernel_matches_upsampled_reference(ax, rng):
+    K = rng.standard_normal((ax.n, ax.n)) + 1j * rng.standard_normal((ax.n, ax.n))
+    want = upsampled_wigner_of_kernel(K, ax)
+    got = wigner_of_kernel(K, ax)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_wigner_marginal(grid256, rng):
