@@ -48,6 +48,7 @@ from .serial import (
 from .signals import (
     GridError,
     SamplingError,
+    _check_bytes,
     default_grid,
     gaussian,
     hermite,
@@ -177,6 +178,8 @@ def _boolean(value) -> bool:
 
 
 def _grid_from(cfg: dict):
+    # every command builds at least one n x n complex array
+    _check_bytes(f"--n {cfg['n']}", 16 * cfg["n"] ** 2)
     return default_grid(cfg["n"], cfg.get("half_width"))
 
 

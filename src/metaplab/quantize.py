@@ -20,6 +20,7 @@ from .signals import (
     GridSignal,
     PhaseSpaceField,
     SamplingError,
+    _check_bytes,
     centered_dft,
     chirp_phase,
     eval_trig,
@@ -50,10 +51,6 @@ __all__ = [
     "conjugation_check",
     "op_A_covariant_integral",
 ]
-
-SIGNAL_N_GUARD = 256
-FIELD_N_GUARD = 32
-
 
 @dataclass(frozen=True)
 class SymbolGrid:
@@ -96,19 +93,21 @@ class SymbolGrid:
         return PhaseSpaceField(self.x_axis, self.xi_axis, np.asarray(self.func(X, Y), dtype=np.complex128))
 
     def eval(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary broadcastable points."""
+        """Evaluate at arbitrary broadcastable points; samples go through the
+        2-D interpolant in blocks of points, so work arrays stay O(block n)."""
         if self.func is not None:
             return np.asarray(self.func(x, xi), dtype=np.complex128)
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
         shape = np.broadcast(x, xi).shape
-        xb = np.broadcast_to(x, shape).ravel()
-        yb = np.broadcast_to(xi, shape).ravel()
-        # two-stage 1-D interpolation: first along x at needed xi columns
-        rows = eval_trig(self.values, 0, self.x_axis, xb)  # (npts, n_xi)
-        E = np.exp(2j * np.pi * yb[:, None] * self.xi_axis.freqs()[None, :])
-        coeff = spectral_coefficients(rows, 1, self.xi_axis)
-        out = np.sum(coeff * E, axis=1)
+        xb = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+        yb = np.broadcast_to(np.asarray(xi, dtype=float), shape).ravel()
+        c2 = spectral_coefficients(spectral_coefficients(self.values, 0, self.x_axis), 1, self.xi_axis)
+        fx, fy = self.x_axis.freqs(), self.xi_axis.freqs()
+        block = max(1, 2 ** 19 // max(c2.shape))  # about 8 MiB per work array
+        out = np.empty(xb.size, dtype=np.complex128)
+        for s in range(0, xb.size, block):
+            Ex = np.exp(2j * np.pi * np.outer(xb[s:s + block], fx))
+            Ey = np.exp(2j * np.pi * np.outer(yb[s:s + block], fy))
+            out[s:s + block] = ((Ex @ c2) * Ey).sum(1)
         return out.reshape(shape)
 
 
@@ -161,8 +160,11 @@ def _symbol_half_samples(a: SymbolGrid, ax: Axis) -> np.ndarray:
     """Samples a(x_half_p, xi_j): exact from the callable, interpolated else.
 
     Sampled symbols keep their rows at even p and take the odd ones from the
-    half-step shift of the band-limited interpolant.
+    half-step shift of the band-limited interpolant.  GridError unless
+    `a.xi_axis == ax.dual()` and, for samples, `a.x_axis == ax`.
     """
+    if a.xi_axis != ax.dual() or (a.func is None and a.x_axis != ax):
+        raise GridError("symbol axes do not match the quantization axis")
     if a.func is not None:
         X, Y = np.meshgrid(_half_points(ax), a.xi_axis.points(), indexing="ij")
         return np.asarray(a.func(X, Y), dtype=np.complex128)
@@ -184,8 +186,8 @@ def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> 
     """
     ax = ax if ax is not None else a.x_axis
     n = ax.n
-    if n > SIGNAL_N_GUARD:
-        raise GridError(f"weyl guard: N <= {SIGNAL_N_GUARD}")
+    # the half-step samples and their lag transform (2 n^2 each), two kernels
+    _check_bytes(f"weyl at N = {n}", 6 * 16 * n * n)
     half = _symbol_half_samples(a, ax)  # (2n, n_xi)
     B = centered_dft(half, 1, a.xi_axis.step, inverse=True)  # lags on the x grid
     k = np.arange(n)[:, None]
@@ -196,7 +198,7 @@ def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> 
     return DenseOperator(ax.step * K, (ax,), "signal")
 
 
-def _weyl_4d_slabs(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int):
+def _weyl_4d_slabs(b: np.ndarray, axes: tuple[Axis, Axis]):
     """Sample stage of the 4d Weyl kernel; returns its row slabs, k1 = 0 .. n1-1.
 
     Slab k1 is K[k1, k2, m1, m2] with slots ordered (m1, k2, m2), the
@@ -204,8 +206,8 @@ def _weyl_4d_slabs(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int):
     the slabs are gathered lazily, so no n^4 index or kernel is formed here.
     """
     n1, n2 = axes[0].n, axes[1].n
-    if max(n1, n2) > n_guard:
-        raise GridError(f"weyl_4d guard: N <= {n_guard} per axis")
+    # the lag-transformed B and its (p1, l1, l2, p2) copy T
+    _check_bytes(f"weyl_4d at N = ({n1}, {n2})", 2 * 16 * (n1 * n2) ** 2)
     if b.shape != (n1, n2, n1, n2):
         raise GridError("4d symbol shape mismatch")
     # lag transform over the frequency slots; dx1 dx2 rides in its scale
@@ -240,11 +242,11 @@ def _weyl_4d_slabs(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int):
     return (T[blocks[k1]].take(cols, axis=1) for k1 in range(n1))
 
 
-def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int = FIELD_N_GUARD) -> DenseOperator:
+def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis]) -> DenseOperator:
     """Weyl quantization acting on phase-space fields, as a dense matrix.
 
     `b` has shape (n1, n2, n1, n2) with slots (x, xi, u, v): position pair
-    first, frequency pair second.  `n_guard` caps the points per axis.
+    first, frequency pair second.
 
     The kernel is the midpoint quantization of each axis pair: after the lag
     transform over the frequency slots, entry (k, m) reads the symbol at the
@@ -260,15 +262,14 @@ def weyl_4d(b: np.ndarray, axes: tuple[Axis, Axis], n_guard: int = FIELD_N_GUARD
     phase-space lines) genuinely do not decay in the lag variables.
     """
     n1, n2 = axes[0].n, axes[1].n
-    slabs = _weyl_4d_slabs(b, axes, n_guard)
+    slabs = _weyl_4d_slabs(b, axes)
     K = np.empty((n1, n2, n1, n2), dtype=np.complex128)
     for k1, slab in enumerate(slabs):
         K[k1] = slab.transpose(1, 0, 2)
     return DenseOperator(K.reshape(n1 * n2, n1 * n2), axes, "field")
 
 
-def weyl_4d_apply(b: np.ndarray, axes: tuple[Axis, Axis], W: np.ndarray,
-                  n_guard: int = FIELD_N_GUARD) -> np.ndarray:
+def weyl_4d_apply(b: np.ndarray, axes: tuple[Axis, Axis], W: np.ndarray) -> np.ndarray:
     """Op_w4d(b) applied to the field samples `W` (shape (n1, n2)), matrix-free.
 
     Same kernel as `weyl_4d` (see there for the slots, the parity rule and
@@ -282,10 +283,9 @@ def weyl_4d_apply(b: np.ndarray, axes: tuple[Axis, Axis], W: np.ndarray,
     W = np.asarray(W, dtype=np.complex128)
     if W.shape != (n1, n2):
         raise GridError("weyl_4d_apply: field shape does not match the axes")
-    slabs = _weyl_4d_slabs(b, axes, n_guard)
     w = W[:, :, None]
     out = np.empty((n1, n2), dtype=np.complex128)
-    for k1, slab in enumerate(slabs):
+    for k1, slab in enumerate(_weyl_4d_slabs(b, axes)):
         out[k1] = (slab @ w).sum(axis=0)[:, 0]
     if not np.all(np.isfinite(out)):
         raise SamplingError("weyl_4d: the applied field holds nan or inf")
@@ -350,21 +350,20 @@ def _symbol_variant(a: SymbolGrid, variant: str) -> Callable:
     raise ValueError(f"unknown symbol variant {variant!r}")
 
 
-def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis],
-                    n_guard: int = FIELD_N_GUARD) -> np.ndarray:
+def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis]) -> np.ndarray:
     """Sampled 4-D symbol (sigma-variant) composed with A^{-1}.
 
     variant "b": (a x 1) o A^{-1};  "bt": the conjugate-slot analogue;
     "c": the product b * bt.  Output shape (n1, n2, n1, n2) on slots
-    (x, xi, u, v).  `n_guard` caps the points per axis.
+    (x, xi, u, v).
     """
-    if variant == "c":
-        return (symbol_pullback(A, a, "b", axes, n_guard)
-                * symbol_pullback(A, a, "bt", axes, n_guard))
-    A = sympl(A)
     n1, n2 = axes[0].n, axes[1].n
-    if max(n1, n2) > n_guard:
-        raise GridError(f"pullback guard: N <= {n_guard} per axis")
+    # the output and one evaluation temporary; "c" holds b, bt and b * bt
+    _check_bytes(f"symbol_pullback at N = ({n1}, {n2})",
+                 (3 if variant == "c" else 2) * 16 * (n1 * n2) ** 2)
+    if variant == "c":
+        return symbol_pullback(A, a, "b", axes) * symbol_pullback(A, a, "bt", axes)
+    A = sympl(A)
     src = _symbol_variant(a, variant)
     x = axes[0].points()[:, None, None, None]
     xi = axes[1].points()[None, :, None, None]
@@ -372,13 +371,8 @@ def symbol_pullback(A, a: SymbolGrid, variant: str, axes: tuple[Axis, Axis],
     v = axes[1].dual().points()[None, None, None, :]
     inv = A.inv().mat
     coords = [x, xi, u, v]
-    mapped = []
-    for i in range(4):
-        acc = 0.0
-        for j in range(4):
-            if inv[i, j] != 0.0:
-                acc = acc + inv[i, j] * coords[j]
-        mapped.append(acc)
+    mapped = [sum((inv[i, j] * c for j, c in enumerate(coords) if inv[i, j] != 0.0), 0.0)
+              for i in range(4)]
     # the mapped coordinates stay broadcast; only the result is materialized
     out = src(*mapped)
     full = (n1, n2, n1, n2)
@@ -412,8 +406,7 @@ def pullback_closed_form(A, a: SymbolGrid, axes: tuple[Axis, Axis]) -> np.ndarra
     raise GridError("no closed-form pullback for this matrix shape")
 
 
-def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal,
-                      n_guard: int | None = None) -> dict:
+def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal) -> dict:
     """Relative residuals of the three intertwining identities.
 
     (b):  W_A(Op_w(a) f, g)      = Op_w4d(b)  W_A(f, g)
@@ -422,10 +415,8 @@ def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal,
     computed with the phase-free covariant route for W_A and the
     matrix-free `weyl_4d_apply` for the right-hand sides.  The residual floor
     on an N-point self-dual grid is the ambiguity-spectrum tail e^{-pi N/8}
-    of the fields themselves (about 3.5e-6 at N = 32); `n_guard` lifts the
-    4d size guard for demonstration runs on finer grids.
+    of the fields themselves (about 3.5e-6 at N = 32).
     """
-    guard = FIELD_N_GUARD if n_guard is None else max(FIELD_N_GUARD, n_guard)
     A = sympl(A)
     form = CovariantForm.from_matrix(A)
     ax = f.grid.axes[0]
@@ -436,7 +427,7 @@ def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal,
     W_fg = wigner_A_covariant(form, f, g)
 
     def residual(symbol: np.ndarray, lhs: PhaseSpaceField, W: PhaseSpaceField) -> float:
-        rhs = weyl_4d_apply(symbol, axes, W.values, guard)
+        rhs = weyl_4d_apply(symbol, axes, W.values)
         return float(
             np.linalg.norm((lhs.values - rhs).ravel())
             / np.linalg.norm(lhs.values.ravel())
@@ -444,9 +435,9 @@ def conjugation_check(A, a: SymbolGrid, f: GridSignal, g: GridSignal,
 
     # each pullback is evaluated once; (c) quantizes their product
     out = {}
-    b = symbol_pullback(A, a, "b", axes, guard)
+    b = symbol_pullback(A, a, "b", axes)
     out["b"] = residual(b, wigner_A_covariant(form, Op_f, g), W_fg)
-    bt = symbol_pullback(A, a, "bt", axes, guard)
+    bt = symbol_pullback(A, a, "bt", axes)
     out["bt"] = residual(bt, wigner_A_covariant(form, f, Op_g), W_fg)
     c = b * bt
     del b, bt

@@ -48,6 +48,8 @@ __all__ = [
 RESCALE_COND_BOUND = 1.0e8
 # slack so that the boundary case |C| * L == Nyquist passes the chirp guard
 _GUARD_SLACK = 1.0 + 1.0e-9
+# the one memory guard: bytes that one call may allocate
+_BYTE_BUDGET = 256 * 2 ** 20
 
 
 class GridError(ValueError):
@@ -56,6 +58,14 @@ class GridError(ValueError):
 
 class SamplingError(ValueError):
     """A requested operation would alias on the current grid."""
+
+
+def _check_bytes(what: str, nbytes: int) -> None:
+    """GridError when `what` needs more than the budget; `nbytes` is worked
+    out from array shapes before anything is allocated."""
+    if nbytes > _BYTE_BUDGET:
+        raise GridError(f"{what} needs about {np.ceil(nbytes / 2 ** 20):.0f} MiB, "
+                        f"past the {_BYTE_BUDGET / 2 ** 20:.0f} MiB budget")
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,7 @@ def test_criterion_4b_conjugation_at_stated_grid():
 def test_criterion_4b_conjugation_spectral_convergence():
     worst = 0.0
     for A, a, f, g in _conjugation_corpus(48)[:2]:
-        res = conjugation_check(A, a, f, g, n_guard=48)
+        res = conjugation_check(A, a, f, g)
         worst = max(worst, max(res.values()))
     ok = worst <= 1e-6
     report(

@@ -3,6 +3,7 @@ numeric guard, and never an exception."""
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,21 @@ def test_boolean_config_accepts_json_booleans_and_0_1(tmp_path, value, want, cap
     cfg.write_text(json.dumps({"estimate_chi": value}))
     assert run(["gaborscan", "--config", str(cfg), "--dump-config"]) == 0
     assert json.loads(capsys.readouterr().out)["estimate_chi"] is want
+
+
+@pytest.mark.parametrize("command", ["wigner", "evolve", "gaborscan", "wfs"])
+def test_huge_grid_is_a_numeric_guard(tmp_path, command, capsys):
+    # one n x n complex array would be 16 TiB; the budget refuses it before
+    # any signal is built, so nothing large is allocated
+    tracemalloc.start()
+    try:
+        code = run([command, "--n", "1048576", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "past the 256 MiB budget" in capsys.readouterr().err
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 # config values for the fuzz, as (valid, bad): bad ones are out of range,

@@ -21,6 +21,7 @@ from metaplab.quantize import (
     weyl_4d_apply,
 )
 from metaplab.signals import (
+    Axis,
     GridError,
     SamplingError,
     default_grid,
@@ -244,24 +245,77 @@ def test_conjugation_identities_spectral():
     a = SymbolGrid.from_function(
         lambda x, xi: np.exp(-(np.pi / 2) * (x ** 2 + xi ** 2)), ax
     )
-    res = conjugation_check(tau_matrix(0.5), a, f, g, n_guard=48)
+    res = conjugation_check(tau_matrix(0.5), a, f, g)
     assert max(res.values()) <= 1e-6, res
 
 
-def test_conjugation_guard_lift_is_local():
-    # n_guard lifts the 4d size guard for that call only
-    grid = default_grid(48)
+def _guarded_calls():
+    """Each size-guarded call at a shape past the byte budget, with inputs
+    that cost nothing: broadcast views and callable symbols."""
+    grid = default_grid(64)
     ax = grid.axes[0]
-    before = quantize.FIELD_N_GUARD
-    res = conjugation_check(tau_matrix(0.5), SymbolGrid.constant(1.0, ax),
-                            gaussian(grid), hermite(grid, 1), n_guard=48)
-    assert max(res.values()) <= 1e-10
-    assert quantize.FIELD_N_GUARD == before
     axes = (ax, ax.dual())
-    with pytest.raises(GridError):
-        weyl_4d(np.ones((48,) * 4, dtype=complex), axes)
-    with pytest.raises(GridError):
-        symbol_pullback(tau_matrix(0.5), SymbolGrid.constant(1.0, ax), "b", axes)
+    one = SymbolGrid.constant(1.0, ax)
+    b = np.broadcast_to(np.complex128(1.0), (64,) * 4)
+    wide = default_grid(2048).axes[0]
+    return {
+        "weyl": (384, lambda: weyl(SymbolGrid.constant(1.0, wide), wide)),
+        "weyl_4d": (512, lambda: weyl_4d(b, axes)),
+        "weyl_4d_apply": (512, lambda: weyl_4d_apply(b, axes, np.zeros((64, 64)))),
+        "symbol_pullback": (512, lambda: symbol_pullback(tau_matrix(0.5), one, "b", axes)),
+        "symbol_pullback_c": (768, lambda: symbol_pullback(tau_matrix(0.5), one, "c", axes)),
+        # the field side at N = 64 is refused before any n^4 array exists
+        "conjugation_check": (512, lambda: conjugation_check(
+            tau_matrix(0.5), one, gaussian(grid), hermite(grid, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_guarded_calls()))
+def test_size_guard_refuses_before_allocating(name):
+    mib, call = _guarded_calls()[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match=f"needs about {mib} MiB, past the 256 MiB budget"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_sampled_eval_on_a_mapped_grid_works_in_blocks():
+    # the dense two-stage interpolant peaked at 129 MiB on this grid
+    ax = default_grid(128).axes[0]
+    a = gauss_symbol(ax)
+    sampled = SymbolGrid.from_field(a.sample())
+    X, Y = np.meshgrid(ax.points(), ax.dual().points(), indexing="ij")
+    Zx, Zy = X + 0.5 * Y, Y - 0.25 * X
+    tracemalloc.start()
+    try:
+        got = sampled.eval(Zx, Zy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20, peak / 2 ** 20
+    inside = (np.abs(Zx) < ax.half_width) & (np.abs(Zy) < ax.half_width)
+    assert np.max(np.abs(got - a.eval(Zx, Zy))[inside]) <= 1e-14
+
+
+def test_weyl_refuses_symbols_on_other_axes():
+    # a Gaussian on a 64-point axis quantized on a 32-point one: both kinds
+    # came out off by 100 % of the largest entry
+    ax, fine = Axis(32, 4.0), Axis(64, 4.0)
+    callable_fine = gauss_symbol(fine)
+    for a in (callable_fine, SymbolGrid.from_field(callable_fine.sample())):
+        with pytest.raises(GridError, match="symbol axes"):
+            weyl(a, ax)
+    # matching axes, passed as equal Axis values, give the same matrix bit
+    # for bit; a callable symbol is read on `ax`, whatever its position axis
+    want = weyl(gauss_symbol(ax)).matrix
+    for a in (gauss_symbol(Axis(32, 4.0)), SymbolGrid.from_function(callable_fine.func, fine, ax.dual())):
+        assert np.array_equal(weyl(a, Axis(32, 4.0)).matrix, want)
+    sampled = SymbolGrid.from_field(gauss_symbol(ax).sample())
+    assert np.array_equal(weyl(sampled, Axis(32, 4.0)).matrix, weyl(sampled).matrix)
 
 
 def _shift_dft(values, axis, step, inverse):

@@ -322,3 +322,16 @@ def test_only_signals_calls_the_fft():
         assert not re.search(r"\b(i?fftshift)\b", text), path.name
         if path.name != "signals.py":
             assert not re.search(r"\b(np\.fft|numpy\.fft|scipy\.fft)\b", text), path.name
+
+
+def test_one_byte_budget_is_the_memory_guard():
+    # no per-call size knob and no second cap: memory guards go through the
+    # byte budget in signals.py
+    src = Path(__file__).resolve().parents[1] / "src" / "metaplab"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert not re.search(r"n_guard|N_GUARD", text), path.name
+        if path.name != "signals.py":
+            assert "_BYTE_BUDGET" not in text, path.name
