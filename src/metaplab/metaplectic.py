@@ -10,6 +10,7 @@ involving these operators holds up to one unimodular constant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 _FREE_EPS = 1e-9
+_SUPPORT_MARGIN = 0.5  # nominal occupancy per axis that _support_stress starts from
+_MAX_TRIES = 200  # draws random_applicable_matrix makes before it gives up
 
 
 class DecompositionError(SymplecticError):
@@ -121,19 +124,6 @@ def _drop_trivial(gens) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def _free_chain(M: np.ndarray, n: int) -> tuple[Generator, ...]:
-    """Chirp * Rescale * Fourier * Chirp for a free matrix (invertible B block)."""
-    A, B, C, D = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
-    Binv = np.linalg.inv(B)
-    g = (
-        Generator("chirp", _sym(D @ Binv)),
-        Generator("rescale", Binv),
-        Generator("fourier"),
-        Generator("chirp", _sym(Binv @ A)),
-    )
-    return _drop_trivial(g)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
     M = np.atleast_2d(M)
     if np.max(np.abs(M - M.T)) > 1e-7 * max(1.0, np.max(np.abs(M))):
@@ -161,150 +151,117 @@ def _invert_generator(g: Generator, n: int) -> tuple[Generator, ...]:
     raise DecompositionError(f"cannot invert generator tag {g.tag!r}")
 
 
-def _invert_chain(chain: GeneratorChain) -> GeneratorChain:
-    gens: list[Generator] = []
-    for g in reversed(chain.generators):
-        gens.extend(_invert_generator(g, chain.n))
-    return GeneratorChain(_drop_trivial(gens), chain.n)
+# ---------------------------------------------------------------------------
+# the factorization table: each entry returns the generators of A in
+# matrix-product order, or raises when its form does not apply to A
+
+
+def _need(ok: bool) -> None:
+    if not ok:
+        raise DecompositionError("factorization does not apply")
+
+
+def _identity(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    _need(_is_zero(A.mat - np.eye(2 * A.n)))
+    return ()
+
+
+def _wigner(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    _need(A.n % 2 == 0 and is_totally_wigner_decomposable(A, 1e-9))
+    return (Generator("ft2"), Generator("rescale", wigner_decomposition_L(A)))
+
+
+def _covariant(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    # A = V_C^T A_FT2 D_L and V_C^T = V_{-C}^{-T}
+    _need(A.n % 2 == 0 and is_covariant(A, 1e-9))
+    form = CovariantForm.from_matrix(A)
+    Z, I = np.zeros((form.d, form.d)), np.eye(form.d)
+    Ccov = np.block([[form.a13, Z], [Z, -form.a21]])
+    Lcov = np.block([[I, I - form.a11], [I, -form.a11]])
+    return (Generator("convchirp", -Ccov), Generator("ft2"), Generator("rescale", Lcov))
+
+
+def _lower(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    """Chirp times rescale for a zero B block."""
+    Ab, Bb, Cb, _ = A.blocks()
+    _need(_is_zero(Bb))
+    Ainv = np.linalg.inv(Ab)
+    return (Generator("chirp", _sym(Cb @ Ainv)), Generator("rescale", Ainv))
+
+
+def _upper(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    """Rescale times Fourier-conjugated chirp for a zero C block."""
+    Ab, Bb, Cb, _ = A.blocks()
+    _need(_is_zero(Cb))
+    Ainv = np.linalg.inv(Ab)
+    return (Generator("rescale", Ainv), Generator("convchirp", _sym(-Ainv @ Bb)))
+
+
+def _free(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    """Chirp * Rescale * Fourier * Chirp for a free matrix (invertible B block)."""
+    _need(A.is_free())
+    Ab, Bb, _, Db = A.blocks()
+    Binv = np.linalg.inv(Bb)
+    return (Generator("chirp", _sym(Db @ Binv)), Generator("rescale", Binv),
+            Generator("fourier"), Generator("chirp", _sym(Binv @ Ab)))
+
+
+def _sandwich(A: SymplecticMatrix, s: float) -> tuple[Generator, ...]:
+    """Chirp sandwich V_P V_Q^{-T} V_R = s A, with s = -1 a reflection pulled out.
+
+    V_P V_Q^{-T} V_R has blocks A = I - QR, B = -Q and D = I - PQ, so
+    Q = -sB, R = Q^{-1}(I - sA) and P = (I - sD) Q^{-1}.  Its parameters stay
+    small near the identity (s = 1) and the reflection (s = -1), exactly
+    where the free chain's chirps blow up (Koc, Ozaktas, Candan & Kutay 2008).
+    """
+    Ab, Bb, _, Db = A.blocks()
+    _need(not _is_zero(Bb))
+    I = np.eye(A.n)
+    Q = _sym(-s * Bb)
+    Qinv = np.linalg.inv(Q)
+    P, R = _sym((I - s * Db) @ Qinv), _sym(Qinv @ (I - s * Ab))
+    gens = (Generator("chirp", P), Generator("convchirp", Q), Generator("chirp", R))
+    return gens if s > 0 else (Generator("rescale", -I),) + gens
+
+
+def _two_free(A: SymplecticMatrix) -> tuple[Generator, ...]:
+    """Generic fallback: two free factors, the right one V_C^T J = [[-C, I], [-I, 0]]."""
+    A1, A2 = free_factorize(A)
+    minus_C = _sym(A2.mat[: A.n, : A.n])
+    return _free(A1) + (Generator("convchirp", minus_C), Generator("fourier"))
+
+
+# the free chain goes before the sandwiches: it keeps J a single Fourier step
+_FACTORIZATIONS = (
+    _identity, _wigner, _covariant, _lower, _upper, _free,
+    lambda A: _sandwich(A, 1.0), lambda A: _sandwich(A, -1.0), _two_free,
+)
+
+
+def _factorizations(A: SymplecticMatrix):
+    """Generator tuples of the table entries that apply to A, in table order."""
+    for entry in _FACTORIZATIONS:
+        try:
+            gens = entry(A)
+        except (SymplecticError, np.linalg.LinAlgError):
+            continue
+        yield gens
+
+
+def _inverted_factorizations(A: SymplecticMatrix):
+    """Factorizations of A^{-1}, each inverted generator by generator."""
+    try:
+        Ainv = A.inv()
+    except SymplecticError:  # A passed its tolerance, its inverse does not
+        return
+    for gens in _factorizations(Ainv):
+        yield tuple(h for g in reversed(gens) for h in _invert_generator(g, A.n))
 
 
 def _candidate_chains(A: SymplecticMatrix):
-    """Yield plausible chains for A, cheapest / best conditioned first."""
-    yield from _direct_candidates(A)
-    # matrices whose inverse has good structure: invert the inverse's chains
-    try:
-        Ainv = A.inv()
-    except SymplecticError:
-        Ainv = None
-    if Ainv is not None:
-        for chain in _direct_candidates(Ainv):
-            yield _invert_chain(chain)
-
-
-def _direct_candidates(A: SymplecticMatrix):
-    n = A.n
-    M = A.mat
-    Ab, Bb, Cb, Db = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
-    I = np.eye(n)
-
-    if _is_zero(M - np.eye(2 * n)):
-        yield GeneratorChain((), n)
-        return
-
-    # 4d-only structural fast paths
-    if n % 2 == 0:
-        try:
-            if is_totally_wigner_decomposable(A, 1e-9):
-                L = wigner_decomposition_L(A)
-                yield GeneratorChain(
-                    _drop_trivial((Generator("ft2"), Generator("rescale", L))), n
-                )
-        except SymplecticError:
-            pass
-        if is_covariant(A, 1e-9):
-            form = CovariantForm.from_matrix(A)
-            d = form.d
-            Ccov = np.block(
-                [[form.a13, np.zeros((d, d))], [np.zeros((d, d)), -form.a21]]
-            )
-            Lcov = np.block([[np.eye(d), np.eye(d) - form.a11], [np.eye(d), -form.a11]])
-            # A = V_C^T A_FT2 D_L and V_C^T = V_{-C}^{-T}
-            yield GeneratorChain(
-                _drop_trivial(
-                    (
-                        Generator("convchirp", -Ccov),
-                        Generator("ft2"),
-                        Generator("rescale", Lcov),
-                    )
-                ),
-                n,
-            )
-
-    # lower block-triangular: chirp times rescale
-    if _is_zero(Bb):
-        try:
-            Ainv = np.linalg.inv(Ab)
-            yield GeneratorChain(
-                _drop_trivial(
-                    (Generator("chirp", _sym(Cb @ Ainv)), Generator("rescale", Ainv))
-                ),
-                n,
-            )
-        except (np.linalg.LinAlgError, DecompositionError):
-            pass
-
-    # upper block-triangular: rescale times Fourier-conjugated chirp
-    if _is_zero(Cb):
-        try:
-            Ainv = np.linalg.inv(Ab)
-            yield GeneratorChain(
-                _drop_trivial(
-                    (
-                        Generator("rescale", Ainv),
-                        Generator("convchirp", _sym(-Ainv @ Bb)),
-                    )
-                ),
-                n,
-            )
-        except (np.linalg.LinAlgError, DecompositionError):
-            pass
-
-    # chirp sandwich V_P V_Q^{-T} V_R: small parameters near the identity,
-    # exactly where the free chain is ill-conditioned (e.g. small rotations)
-    if not _is_zero(Bb):
-        try:
-            Q = _sym(-Bb)
-            Qinv = np.linalg.inv(Q)
-            R = _sym(Qinv @ (I - Ab))
-            P = _sym(-(I - Db) @ Qinv)
-            yield GeneratorChain(
-                _drop_trivial(
-                    (
-                        Generator("chirp", P),
-                        Generator("convchirp", Q),
-                        Generator("chirp", R),
-                    )
-                ),
-                n,
-            )
-        except (np.linalg.LinAlgError, DecompositionError):
-            pass
-        # same with a reflection pulled out (rotations near pi)
-        try:
-            Q = _sym(Bb)
-            Qinv = np.linalg.inv(Q)
-            R = _sym(Qinv @ (I + Ab))
-            P = _sym(-(I + Db) @ Qinv)
-            yield GeneratorChain(
-                _drop_trivial(
-                    (
-                        Generator("rescale", -I),
-                        Generator("chirp", P),
-                        Generator("convchirp", Q),
-                        Generator("chirp", R),
-                    )
-                ),
-                n,
-            )
-        except (np.linalg.LinAlgError, DecompositionError):
-            pass
-
-    # plain free chain
-    if A.is_free():
-        try:
-            yield GeneratorChain(_free_chain(M, n), n)
-        except DecompositionError:
-            pass
-
-    # generic fallback: two free factors, right one of the fixed V_C^T J form
-    try:
-        A1, A2 = free_factorize(A)
-        # A2 = V_C^T J = [[-C, I], [-I, 0]]: read C off its upper-left block
-        Cblk = -A2.mat[:n, :n]
-        tail = (Generator("convchirp", _sym(-Cblk)), Generator("fourier"))
-        yield GeneratorChain(_drop_trivial(_free_chain(A1.mat, n) + tail), n)
-    except (SymplecticError, DecompositionError):
-        pass
+    """Chains of A's table, then of the inverted table of A^{-1}."""
+    for gens in itertools.chain(_factorizations(A), _inverted_factorizations(A)):
+        yield GeneratorChain(_drop_trivial(gens), A.n)
 
 
 def _chain_stress(chain: GeneratorChain, axes: tuple[Axis, ...]) -> float:
@@ -321,18 +278,18 @@ def _chain_stress(chain: GeneratorChain, axes: tuple[Axis, ...]) -> float:
     return worst
 
 
-def _support_stress(chain: GeneratorChain, margin: float = 0.5) -> float:
+def _support_stress(chain: GeneratorChain) -> float:
     """Track nominal support/band growth through the chain (window fractions).
 
     Chirps disperse the band, conv-chirps disperse the support, stretches
     rescale it; content pushed past the window is clipped or wrapped.  Used
     to reject test-corpus matrices whose chains degrade concentrated data,
-    starting from a nominal occupancy of `margin` per axis.
+    starting from a nominal occupancy of `_SUPPORT_MARGIN` per axis.
     """
     n_ax = 1 if chain.n == 1 else 2
-    supp = np.full(n_ax, margin)
-    band = np.full(n_ax, margin)
-    worst = margin
+    supp = np.full(n_ax, _SUPPORT_MARGIN)
+    band = np.full(n_ax, _SUPPORT_MARGIN)
+    worst = _SUPPORT_MARGIN
     for g in reversed(chain.generators):
         if g.tag == "fourier":
             supp, band = band.copy(), supp.copy()
@@ -353,10 +310,16 @@ def _support_stress(chain: GeneratorChain, margin: float = 0.5) -> float:
 
 
 def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorChain:
-    """Chain of at most six generators with matrix product equal to A.
+    """Generator chain whose matrix product equals A.
 
-    With `axes` given, candidates are ranked by their sampling stress on that
-    grid so chirp parameters stay below the aliasing guard when possible.
+    Candidates come from one table of closed-form factorizations, in this
+    preference order: identity, totally Wigner-decomposable, covariant, lower
+    triangular, upper triangular, free, chirp sandwich, reflected chirp
+    sandwich, two free factors; then the same table for A^{-1}, each chain
+    inverted.  A candidate that misses A by more than 1e-8 is skipped.
+    Without `axes` the first exact chain wins.  With `axes` the first exact
+    chain whose chirps stay below that grid's aliasing guard wins, else the
+    exact chain of least sampling stress.
     """
     A = sympl(A)
     best = None
@@ -467,14 +430,8 @@ def apply(A, obj):
     """
     A = sympl(A)
     _check_dims(A, obj)
-    axes = _axes_of(obj)
-    chain = generator_decompose(A, axes)
-    return apply_chain(chain, obj)
-
-
-def apply_chain(chain: GeneratorChain, obj):
     out = obj
-    for gen in reversed(chain.generators):
+    for gen in reversed(generator_decompose(A, _axes_of(obj)).generators):
         out = apply_generator(gen, out)
     return out
 
@@ -540,7 +497,7 @@ def apply_quadrature(A, obj):
 
 
 def random_applicable_matrix(
-    rng: np.random.Generator, n: int, axes: tuple[Axis, ...], max_tries: int = 200
+    rng: np.random.Generator, n: int, axes: tuple[Axis, ...]
 ) -> SymplecticMatrix:
     """Random generator-chain matrix whose decomposition fits the grid guards.
 
@@ -550,7 +507,7 @@ def random_applicable_matrix(
     """
     from .symplectic import random_generator_chain_matrix
 
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         A = random_generator_chain_matrix(rng, n)
         try:
             chain = generator_decompose(A, axes)

@@ -99,14 +99,14 @@ class SymplecticMatrix:
         M = self.mat
         return M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
 
-    def is_free(self, cond_bound: float = COND_BOUND) -> bool:
+    def is_free(self) -> bool:
         _, B, _, _ = self.blocks()
-        return _invertible(B, cond_bound)
+        return _invertible(B)
 
 
-def _invertible(M: np.ndarray, cond_bound: float = COND_BOUND) -> bool:
+def _invertible(M: np.ndarray) -> bool:
     s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[-1] > 0 and s[0] / s[-1] <= cond_bound)
+    return bool(s[-1] > 0 and s[0] / s[-1] <= COND_BOUND)
 
 
 def sympl(mat, tol: float = DEFAULT_TOL) -> SymplecticMatrix:
@@ -373,9 +373,7 @@ def evolve_cohen_B(B: np.ndarray, chi_t: SymplecticMatrix) -> np.ndarray:
 # factorizations
 
 
-def free_factorize(
-    A: SymplecticMatrix, cond_bound: float = COND_BOUND
-) -> tuple[SymplecticMatrix, SymplecticMatrix]:
+def free_factorize(A: SymplecticMatrix) -> tuple[SymplecticMatrix, SymplecticMatrix]:
     """Split A into two free factors A = A1 A2.
 
     Uses A = (A J^-1 V_C^-T)(V_C^T J): the right factor has B-block I and the
@@ -398,19 +396,17 @@ def free_factorize(
             best_score = score
             best = (cand1, V_C(C).T @ J, s)
     cand1, right, s = best
-    if not (s[-1] > 0 and s[0] / s[-1] <= cond_bound):
+    if not (s[-1] > 0 and s[0] / s[-1] <= COND_BOUND):
         raise SymplecticError(
             "free factorization failed: best B-block condition "
-            f"{s[0] / max(s[-1], 1e-300):.3g} exceeds bound {cond_bound:.3g}"
+            f"{s[0] / max(s[-1], 1e-300):.3g} exceeds bound {COND_BOUND:.3g}"
         )
     A1 = SymplecticMatrix(cand1, max(A.tol, 1e-9))
     A2 = SymplecticMatrix(right, max(A.tol, 1e-9))
     return A1, A2
 
 
-def shift_invertibility(
-    A: SymplecticMatrix, cond_bound: float = COND_BOUND
-) -> np.ndarray | None:
+def shift_invertibility(A: SymplecticMatrix) -> np.ndarray | None:
     """diag(A11, A23) when both blocks are invertible, else None.
 
     Applies to totally Wigner-decomposable and covariant matrices, whose
@@ -422,7 +418,7 @@ def shift_invertibility(
     E = np.zeros((2 * d, 2 * d))
     E[:d, :d] = a11
     E[d:, d:] = a23
-    if _invertible(a11, cond_bound) and _invertible(a23, cond_bound):
+    if _invertible(a11) and _invertible(a23):
         return E
     return None
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metaplab.metaplectic import (
+    _candidate_chains,
     apply,
     random_applicable_matrix,
     apply_free_quadrature,
@@ -192,7 +193,8 @@ def test_conv_chirp_matches_shear_matrix(grid256, rng):
 
 
 def test_small_and_quarter_rotations(grid256, phi):
-    # small rotations go through the chirp sandwich without tripping guards
+    # t = 0.05 and 0.3 take the chirp sandwich, pi/2 and 2.0 the free chain;
+    # none of them trips a guard
     h = QuadraticHamiltonian.harmonic()
     for t in (0.05, 0.3, np.pi / 2, 2.0):
         chi = hamiltonian_flow(h, t)
@@ -200,6 +202,45 @@ def test_small_and_quarter_rotations(grid256, phi):
         assert abs(out.norm() - phi.norm()) <= 1e-8
         # phi is rotation invariant up to phase
         assert cosine(out.values, phi.values) >= 1 - 1e-8
+
+
+def rotation(theta: float) -> SymplecticMatrix:
+    c, s = np.cos(theta), np.sin(theta)
+    return SymplecticMatrix(np.array([[c, -s], [s, c]]))
+
+
+def test_every_candidate_reproduces_its_matrix(rng):
+    # every factorization in the table, not only the chain the decomposition
+    # picks: its exactness filter would hide a wrong closed form
+    corpus = [random_generator_chain_matrix(rng, n) for n in (1, 2) for _ in range(150)]
+    corpus += [rotation(th) for th in np.linspace(-np.pi, np.pi, 41)[1:-1]]
+    for A in corpus:
+        for chain in _candidate_chains(A):
+            assert np.max(np.abs(chain.matrix() - A.mat)) <= 1e-8
+
+
+def test_decomposition_preference_order(grid256):
+    axes = grid256.axes
+    h = QuadraticHamiltonian.harmonic()
+
+    def tags(A):
+        return [g.tag for g in generator_decompose(A, axes).generators]
+
+    # the free chain precedes the sandwiches, so J stays one exact Fourier step
+    assert tags(SymplecticMatrix(standard_J(1))) == ["fourier"]
+    # small rotations: the free chain's chirps alias, the sandwich's do not
+    assert tags(hamiltonian_flow(h, 0.05)) == ["chirp", "convchirp", "chirp"]
+    # near pi: the sandwich with the reflection pulled out
+    assert tags(rotation(3.0)) == ["rescale", "chirp", "convchirp", "chirp"]
+    assert tags(hamiltonian_flow(h, 1.0)) == ["chirp", "rescale", "fourier", "chirp"]
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.2, 0.5])
+def test_harmonic_flow_dense_matrix_unitary(grid256, t):
+    # the sandwich has no rescale step, so mu(chi_t) is unitary on the whole grid
+    chi = hamiltonian_flow(QuadraticHamiltonian.harmonic(), t)
+    s = np.linalg.svd(dense_matrix(chi, grid256.axes[0]), compute_uv=False)
+    assert s[-1] >= 1 - 1e-12
 
 
 def test_dense_matrix_consistency(rng):

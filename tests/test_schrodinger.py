@@ -113,6 +113,14 @@ def test_perturbation_symbol_sigma0(grid256):
         assert rep["reconstruction_residual"] <= 1e-6
 
 
+def test_perturbation_symbol_harmonic_runs(grid256):
+    # mu(chi_t) of the harmonic flow is invertible on the whole grid; how
+    # far b_t is from a constant there is a separate question
+    b_t, rep = perturbation_symbol(Hamiltonian(QuadraticHamiltonian.harmonic()), 0.05, grid256.axes[0])
+    assert np.all(np.isfinite(b_t.values))
+    assert np.isfinite(rep["reconstruction_residual"])
+
+
 def test_perturbation_symbol_small_t_slope(grid256):
     ax = grid256.axes[0]
     H = Hamiltonian(FREE, bounded_symbol(ax))
