@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_VERIFY_TOL = 1e-6  # reconstruction residual below which a factorization is verified
+
+
 class FrameError(ValueError):
     pass
 
@@ -80,13 +83,18 @@ class GaborLattice:
         )
 
 
+def _atoms(g: GridSignal, lattice: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points and the columns pi(lam) g, exact shifts of on-grid points."""
+    if not lattice.on_grid(g.grid.axes[0]):
+        raise FrameError("lattice points are not on the signal grid")
+    pts = lattice.points()
+    return pts, np.stack([tf_shift(g, p).values for p in pts], axis=1)
+
+
 def frame_bounds(g: GridSignal, lattice: GaborLattice) -> tuple[float, float]:
     """Extreme eigenvalues of the discrete frame operator of {pi(lam) g}."""
-    ax = g.grid.axes[0]
-    if not lattice.on_grid(ax):
-        raise FrameError("lattice points are not on the signal grid")
-    P = np.stack([tf_shift(g, p).values for p in lattice.points()], axis=1)
-    S = ax.step * (P @ P.conj().T)
+    _, P = _atoms(g, lattice)
+    S = g.grid.axes[0].step * (P @ P.conj().T)
     evals = np.linalg.eigvalsh(S)
     A, B = float(evals[0]), float(evals[-1])
     if A < 1e-8 * B:
@@ -111,14 +119,9 @@ def gabor_matrix(
     T, g: GridSignal, lattice: GaborLattice, norm_estimate: float | None = None
 ) -> GaborMatrixData:
     """All pairwise entries <T pi(lam) g, pi(mu) g> over the truncated lattice."""
-    ax = g.grid.axes[0]
-    if not lattice.on_grid(ax):
-        raise FrameError("lattice points are not on the signal grid")
+    pts, P = _atoms(g, lattice)
     T_mat = T.matrix if isinstance(T, DenseOperator) else np.asarray(T)
-    pts = lattice.points()
-    # columns pi(lambda) g: exact circular shifts, the lattice is on-grid
-    P = np.stack([tf_shift(g, p).values for p in pts], axis=1)
-    M = ax.step * (P.conj().T @ (T_mat @ P)).T
+    M = g.grid.axes[0].step * (P.conj().T @ (T_mat @ P)).T
     bound = norm_estimate if norm_estimate is not None else np.linalg.norm(T_mat, 2)
     gnorm2 = g.norm() ** 2
     if np.max(np.abs(M)) > bound * gnorm2 * (1.0 + 1e-8):
@@ -143,7 +146,6 @@ class EnvelopeReport:
     norms: dict
     slope: float
     tail_estimate: float
-    frame_bounds: tuple[float, float] | None = None
 
     def shell_radii_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         ks = np.array(sorted(self.shells.keys(), key=lambda k: (max(abs(k[0]), abs(k[1])), k)))
@@ -208,11 +210,11 @@ def _estimate_chi(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     return from_params(*params)
 
 
-def decay_slope(radii: np.ndarray, values: np.ndarray, r_min: int = 1, r_max: int = 5) -> float:
-    """Regression slope of log max-shell value against shell radius."""
+def decay_slope(radii: np.ndarray, values: np.ndarray) -> float:
+    """Regression slope of log max-shell value against shell radius 1 to 5."""
     per_radius = {}
     for r, v in zip(radii, values):
-        if r_min <= r <= r_max:
+        if 1 <= r <= 5:
             per_radius[int(r)] = max(per_radius.get(int(r), 0.0), float(v))
     rs = np.array(sorted(per_radius))
     if len(rs) < 2:
@@ -226,8 +228,6 @@ def envelope_fit(
     data: GaborMatrixData,
     chi: SymplecticMatrix | np.ndarray | None = None,
     qs: tuple = ((1.0, 0.0), (0.5, 0.0), (1.0, 1.0)),
-    with_frame_bounds: bool = False,
-    lattice: GaborLattice | None = None,
 ) -> EnvelopeReport:
     """Shell maxima of |M| against mu - chi lam and their l^q_{v_s} norms.
 
@@ -283,9 +283,6 @@ def envelope_fit(
         )
     else:
         tail = float("inf")
-    fb = None
-    if with_frame_bounds and lattice is not None:
-        fb = frame_bounds(data.window, lattice)
     return EnvelopeReport(
         chi=chi_mat,
         chi_estimated=estimated,
@@ -293,11 +290,10 @@ def envelope_fit(
         norms=norms,
         slope=slope,
         tail_estimate=float(tail),
-        frame_bounds=fb,
     )
 
 
-def metaplectic_factor(T, chi, verify_tol: float = 1e-6):
+def metaplectic_factor(T, chi):
     """Factor T = Op_w(sigma_1) mu(chi) = mu(chi) Op_w(sigma_2).
 
     sigma_1 is the Weyl symbol of T mu(chi)^{-1} (Wigner transform of its
@@ -305,7 +301,8 @@ def metaplectic_factor(T, chi, verify_tol: float = 1e-6):
     mu(chi)^{-1} T and both reconstructions are checked against T.
 
     Returns (sigma1, sigma2, report) where the symbols are phase-space fields
-    and the report carries the reconstruction residuals.
+    and the report carries the reconstruction residuals; "verified" is False
+    when either exceeds `_VERIFY_TOL`.
     """
     chi = sympl(chi)
     T_mat = T.matrix if isinstance(T, DenseOperator) else np.asarray(T)
@@ -338,7 +335,7 @@ def metaplectic_factor(T, chi, verify_tol: float = 1e-6):
     diff = np.abs(composed - sigma2.values)[inside]
     scale = max(float(np.max(np.abs(sigma2.values))), 1e-300)
     report["composition_max_err"] = float(np.max(diff)) / scale
-    if max(report["residual_left"], report["residual_right"]) > verify_tol:
+    if max(report["residual_left"], report["residual_right"]) > _VERIFY_TOL:
         report["verified"] = False
     else:
         report["verified"] = True

@@ -20,12 +20,14 @@ from .signals import (
     GridError,
     GridSignal,
     PhaseSpaceField,
+    _GUARD_SLACK,
     _axes_of,
-    _rebuild,
+    _check_bytes,
     _rescale_values,
     centered_dft,
     chirp_guard,
     chirp_phase,
+    chirp_stress,
 )
 from .symplectic import (
     A_FT2,
@@ -109,8 +111,8 @@ class GeneratorChain:
         return len(self.generators)
 
 
-def _is_zero(M, tol=_FREE_EPS) -> bool:
-    return np.max(np.abs(M)) <= tol
+def _is_zero(M) -> bool:
+    return np.max(np.abs(M)) <= _FREE_EPS
 
 
 def _drop_trivial(gens) -> tuple[Generator, ...]:
@@ -250,11 +252,7 @@ def _factorizations(A: SymplecticMatrix):
 
 def _inverted_factorizations(A: SymplecticMatrix):
     """Factorizations of A^{-1}, each inverted generator by generator."""
-    try:
-        Ainv = A.inv()
-    except SymplecticError:  # A passed its tolerance, its inverse does not
-        return
-    for gens in _factorizations(Ainv):
+    for gens in _factorizations(A.inv()):
         yield tuple(h for g in reversed(gens) for h in _invert_generator(g, A.n))
 
 
@@ -265,17 +263,9 @@ def _candidate_chains(A: SymplecticMatrix):
 
 
 def _chain_stress(chain: GeneratorChain, axes: tuple[Axis, ...]) -> float:
-    """Worst guard ratio over the chain; > 1 means some chirp would alias."""
-    widths = np.array([ax.half_width for ax in axes])
-    worst = 0.0
-    for g in chain.generators:
-        # convchirps are exact diagonal multipliers: no guard applies
-        if g.tag == "chirp":
-            Mp = np.atleast_2d(g.param)
-            for i, ax in enumerate(axes):
-                edge = float(np.abs(Mp[i]) @ widths)
-                worst = max(worst, edge / ax.freq_half_width)
-    return worst
+    """Worst `chirp_stress` of the chain's chirps (convchirps are exact multipliers)."""
+    return max((float(np.max(chirp_stress(axes, g.param)))
+                for g in chain.generators if g.tag == "chirp"), default=0.0)
 
 
 def _support_stress(chain: GeneratorChain) -> float:
@@ -331,7 +321,7 @@ def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorCha
         if axes is None:
             return chain
         stress = _chain_stress(chain, axes)
-        if stress <= 1.0 + 1e-9:
+        if stress <= _GUARD_SLACK:
             return chain
         if stress < best_stress:
             best, best_stress = chain, stress
@@ -395,7 +385,7 @@ def conv_chirp(C, obj, path: str = "multiplier"):
     chirp_guard(axes, -np.linalg.inv(C))
     _require_self_dual(axes)
     prod = _dft(kernel, axes) * _dft(obj.values, axes)
-    return _rebuild(obj, _dft(prod, axes, inverse=True) / np.sqrt(abs(det)))
+    return obj.with_values(_dft(prod, axes, inverse=True) / np.sqrt(abs(det)))
 
 
 def apply_generator(gen: Generator, obj):
@@ -405,7 +395,7 @@ def apply_generator(gen: Generator, obj):
         _require_self_dual(axes)
     if gen.tag == "ft2" and not isinstance(obj, PhaseSpaceField):
         raise GridError("ft2 acts on phase-space fields")
-    return _rebuild(obj, _realize(gen, obj.values, axes))
+    return obj.with_values(_realize(gen, obj.values, axes))
 
 
 def _require_self_dual(axes: tuple[Axis, ...]) -> None:
@@ -453,8 +443,8 @@ def apply_free_quadrature(A, obj):
     Binv = np.linalg.inv(Bb)
     axes = _axes_of(obj)
     if isinstance(obj, GridSignal) and obj.grid.dim == 1:
-        if axes[0].n > 256:
-            raise GridError("free quadrature guard: N <= 256 for signals")
+        # the N x N kernel, its phase and their sum are live together
+        _check_bytes(f"free quadrature at N = {axes[0].n}", 3 * 16 * axes[0].n ** 2)
         x = axes[0].points()
         weight = axes[0].step
         k = np.exp(
@@ -464,9 +454,9 @@ def apply_free_quadrature(A, obj):
         out = weight / np.sqrt(abs(np.linalg.det(Bb))) * (k @ obj.values)
         out = out * np.exp(1j * np.pi * (Db @ Binv)[0, 0] * x ** 2)
         return obj.with_values(out)
-    # two-axis data
-    if axes[0].n > 64 or axes[1].n > 64:
-        raise GridError("free quadrature guard: N <= 64 per axis for fields")
+    # two-axis data: one kernel block of `chunk` rows, its phase and the block before it
+    m, chunk = axes[0].n * axes[1].n, 512
+    _check_bytes(f"free quadrature at N = ({axes[0].n}, {axes[1].n})", 3 * 16 * min(chunk, m) * m)
     pts = np.stack(
         np.meshgrid(axes[0].points(), axes[1].points(), indexing="ij"), axis=-1
     ).reshape(-1, 2)
@@ -476,15 +466,14 @@ def apply_free_quadrature(A, obj):
     quad_in = np.einsum("ij,jk,ik->i", pts, BiA, pts)
     quad_out = np.einsum("ij,jk,ik->i", pts, DBi, pts)
     F = obj.values.reshape(-1)
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    chunk = 2048
+    out = np.empty(m, dtype=np.complex128)
     cross = pts @ Binv.T  # row i: (B^{-1} x_i)^T
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
         E = np.exp(-2j * np.pi * (cross[lo:hi] @ pts.T) + 1j * np.pi * quad_in[None, :])
         out[lo:hi] = E @ F
     out *= weight / np.sqrt(abs(np.linalg.det(Bb))) * np.exp(1j * np.pi * quad_out)
-    return _rebuild(obj, out.reshape(obj.values.shape))
+    return obj.with_values(out.reshape(obj.values.shape))
 
 
 def apply_quadrature(A, obj):
@@ -513,7 +502,7 @@ def random_applicable_matrix(
             chain = generator_decompose(A, axes)
         except DecompositionError:
             continue
-        if _chain_stress(chain, axes) <= 1.0 + 1e-9 and _support_stress(chain) <= 0.95:
+        if _chain_stress(chain, axes) <= _GUARD_SLACK and _support_stress(chain) <= 0.95:
             return A
     raise DecompositionError("could not sample a guard-safe symplectic matrix")
 

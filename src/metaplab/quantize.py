@@ -454,8 +454,9 @@ def op_A_covariant_integral(form: CovariantForm, a: SymbolGrid, ax: Axis) -> Den
     cross-check of `op_A` on small grids; agreement is reported, not assumed,
     because the convolution factor is distributional.
     """
-    if ax.n > 64:
-        raise GridError("covariant integral cross-check limited to N <= 64")
+    # symbol, smoothing, half-step table and lag transform (2 n^2 each), midpoint,
+    # lag and result tables, one diagonal's n x 2n interpolant: under 16 n^2 complex
+    _check_bytes(f"covariant integral at N = {ax.n}", 16 * 16 * ax.n ** 2)
     a11 = float(form.a11[0, 0])
     C = np.diag([float(form.a13[0, 0]), -float(form.a21[0, 0])])
     field = a.sample()

@@ -55,6 +55,8 @@ __all__ = [
     "compose_field_linear",
 ]
 
+_HERMITIAN_TOL = 1e-8  # relative Hermitian defect hamiltonian_matrix accepts
+
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -81,7 +83,7 @@ def free_particle_multiplier(t: float, u0: GridSignal) -> GridSignal:
     return inverse_fourier(hat)
 
 
-def hamiltonian_matrix(H: Hamiltonian, ax: Axis, tol: float = 1e-8) -> np.ndarray:
+def hamiltonian_matrix(H: Hamiltonian, ax: Axis) -> np.ndarray:
     """Dense Hermitian matrix of Op_w(quad) + Op_w(sigma) on the grid."""
     quad = H.quad
     a_quad = SymbolGrid.from_function(lambda x, xi: quad.symbol(x, xi), ax)
@@ -92,7 +94,7 @@ def hamiltonian_matrix(H: Hamiltonian, ax: Axis, tol: float = 1e-8) -> np.ndarra
     if not np.all(np.isfinite(M)):
         raise SamplingError("Hamiltonian matrix has non-finite entries")
     herm = np.max(np.abs(M - M.conj().T))
-    if herm > tol * max(1.0, np.max(np.abs(M))):
+    if herm > _HERMITIAN_TOL * max(1.0, np.max(np.abs(M))):
         raise GridError(f"Hamiltonian matrix is not Hermitian within tol ({herm:.2e})")
     return (M + M.conj().T) / 2.0
 
@@ -333,7 +335,6 @@ def wavefront(
         2.0 * max(orders) * np.log10(np.sqrt(1.0 + r_max ** 2) / np.sqrt(1.0 + r0 ** 2))
     )
     integrals = np.zeros((n_bins, len(orders)))
-    counts = np.zeros(n_bins, dtype=int)
     w_base = 1.0 + r2
     for j, N in enumerate(orders):
         contrib = vals * w_base ** N * cell

@@ -7,16 +7,30 @@ xi_j = (-N/2 + j) / (2L).  With the step weights folded in, the discrete
 Fourier transform is then an exact unitary and circular shifts are exact,
 which is what makes the operator identities in the rest of the package hold
 to roundoff instead of to quadrature error.
+
+Guards: each refusal is decided in one function.  The CLI exits 3 on
+`SamplingError`, `GridError` and `DecompositionError`, 2 on other
+`SymplecticError`s.
+- aliasing: `chirp_stress` (edge frequency over Nyquist) against
+  `_GUARD_SLACK`; `chirp_guard` raises `SamplingError` (exit 3), and the
+  chain search in `metaplectic` ranks its candidates by the same ratios;
+- conditioning: `symplectic._invertible`; `GridError` for rescales (exit 3),
+  `SymplecticError` for free factorizations (exit 2);
+- size: `_check_bytes`, an estimate from the shapes against `_BYTE_BUDGET`
+  before anything is allocated; `GridError` (exit 3);
+- membership: `symplectic.is_symplectic` tests A and -J A^T J, so `inv()`
+  never refuses; `SymplecticError` (exit 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from ._threads import max_workers
+from .symplectic import _invertible
 
 __all__ = [
     "Axis",
@@ -45,7 +59,6 @@ __all__ = [
     "phase_align",
 ]
 
-RESCALE_COND_BOUND = 1.0e8
 # slack so that the boundary case |C| * L == Nyquist passes the chirp guard
 _GUARD_SLACK = 1.0 + 1.0e-9
 # the one memory guard: bytes that one call may allocate
@@ -168,7 +181,6 @@ class _Sampled:
 class GridSignal(_Sampled):
     grid: Grid
     values: np.ndarray
-    off_grid_shift: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -181,8 +193,8 @@ class GridSignal(_Sampled):
     def _axes(self) -> tuple[Axis, ...]:
         return self.grid.axes
 
-    def with_values(self, values: np.ndarray, **kw) -> "GridSignal":
-        return replace(self, values=np.asarray(values, dtype=np.complex128), **kw)
+    def with_values(self, values: np.ndarray) -> "GridSignal":
+        return GridSignal(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -215,16 +227,6 @@ def _axes_of(obj) -> tuple[Axis, ...]:
     if isinstance(obj, PhaseSpaceField):
         return (obj.x_axis, obj.xi_axis)
     raise GridError(f"expected GridSignal or PhaseSpaceField, got {type(obj)!r}")
-
-
-def _rebuild(obj, values, axes=None):
-    if isinstance(obj, GridSignal):
-        if axes is None:
-            return obj.with_values(values)
-        return GridSignal(Grid(tuple(axes)), values)
-    if axes is None:
-        axes = (obj.x_axis, obj.xi_axis)
-    return PhaseSpaceField(axes[0], axes[1], values)
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +364,24 @@ def chirp_phase(axes: tuple[Axis, ...], C) -> np.ndarray:
     return np.exp(1j * np.pi * q)
 
 
+def chirp_stress(axes: tuple[Axis, ...], C) -> np.ndarray:
+    """Per axis, the largest instantaneous frequency (C t)_i of exp(i pi C t . t)
+    over the grid's Nyquist; a ratio past `_GUARD_SLACK` aliases."""
+    M = _as_matrix(C, len(axes))
+    widths = np.array([ax.half_width for ax in axes])
+    return np.abs(M) @ widths / np.array([ax.freq_half_width for ax in axes])
+
+
 def chirp_guard(axes: tuple[Axis, ...], C) -> None:
     """Reject chirps whose edge instantaneous frequency exceeds Nyquist."""
     M = _as_matrix(C, len(axes))
     if np.max(np.abs(M - M.T)) > 1e-10:
         raise GridError("chirp matrix must be symmetric")
-    widths = np.array([ax.half_width for ax in axes])
-    for i, ax in enumerate(axes):
-        # instantaneous frequency of exp(i pi C t.t) along axis i is (C t)_i
-        edge_freq = float(np.abs(M[i]) @ widths)
-        if edge_freq > ax.freq_half_width * _GUARD_SLACK:
+    for i, (ratio, ax) in enumerate(zip(chirp_stress(axes, M), axes)):
+        if ratio > _GUARD_SLACK:
             raise SamplingError(
-                f"chirp aliases on axis {i}: edge frequency {edge_freq:.4g} "
-                f"exceeds Nyquist {ax.freq_half_width:.4g}"
+                f"chirp aliases on axis {i}: edge frequency "
+                f"{ratio * ax.freq_half_width:.4g} exceeds Nyquist {ax.freq_half_width:.4g}"
             )
 
 
@@ -382,7 +389,7 @@ def chirp_multiply(obj, C):
     """Multiply by the chirp exp(i pi C t . t); |values| is untouched."""
     axes = _axes_of(obj)
     chirp_guard(axes, C)
-    return _rebuild(obj, obj.values * chirp_phase(axes, C))
+    return obj.with_values(obj.values * chirp_phase(axes, C))
 
 
 def _axis_scale(values: np.ndarray, axis: int, ax: Axis, factor: float) -> np.ndarray:
@@ -434,16 +441,16 @@ def _lu_step_plans(M: np.ndarray):
     return plans
 
 
-def _plan_growth(plan, alpha: float = 0.5) -> float:
+def _plan_growth(plan) -> float:
     """Largest intermediate support extent when applying a step plan.
 
     A step ("shear"/"scale") maps the operand support by the inverse of its
-    matrix factor; starting from a nominal box of half-size alpha, track the
+    matrix factor; starting from a nominal box of half-size 1/2, track the
     bounding box and report the worst extent (in window units).  Plans whose
     intermediates escape the window wrap or clip content.
     """
-    e = np.array([alpha, alpha])
-    worst = alpha
+    e = np.array([0.5, 0.5])
+    worst = 0.5
     for step in plan:
         if step[0] == "shear":
             _, axis, coef = step
@@ -493,7 +500,7 @@ def _compose_linear_2d(values: np.ndarray, axes, M: np.ndarray) -> np.ndarray:
 def _rescale_values(values: np.ndarray, axes: tuple[Axis, ...], L_mat) -> np.ndarray:
     """sqrt|det L| * F(L t) on samples whose leading axes are the grid `axes`."""
     M = _as_matrix(L_mat, len(axes))
-    if np.linalg.cond(M) > RESCALE_COND_BOUND:
+    if not _invertible(M):
         raise GridError("rescale matrix condition number exceeds bound")
     scale = np.sqrt(abs(np.linalg.det(M)))
     if len(axes) == 1:
@@ -503,7 +510,7 @@ def _rescale_values(values: np.ndarray, axes: tuple[Axis, ...], L_mat) -> np.nda
 
 def rescale(obj, L_mat):
     """sqrt|det L| * F(L t) via band-limited interpolation on the same grid."""
-    return _rebuild(obj, _rescale_values(obj.values, _axes_of(obj), L_mat))
+    return obj.with_values(_rescale_values(obj.values, _axes_of(obj), L_mat))
 
 
 def tf_shift(f: GridSignal, z) -> GridSignal:
@@ -513,14 +520,11 @@ def tf_shift(f: GridSignal, z) -> GridSignal:
     x0, xi0 = float(z[0]), float(z[1])
     ax = f.grid.axes[0]
     steps = x0 / ax.step
-    flagged = f.off_grid_shift
     if abs(steps - round(steps)) < 1e-9:
         vals = np.roll(f.values, int(round(steps)))
     else:
         vals = shift_spectral(f.values, 0, ax, -x0)
-        flagged = True
-    vals = vals * np.exp(2j * np.pi * xi0 * ax.points())
-    return f.with_values(vals, off_grid_shift=flagged)
+    return f.with_values(vals * np.exp(2j * np.pi * xi0 * ax.points()))
 
 
 def translate_field(F: PhaseSpaceField, z) -> PhaseSpaceField:

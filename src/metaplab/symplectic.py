@@ -55,14 +55,16 @@ def standard_J(n: int) -> np.ndarray:
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max|M^T J M - J| <= tol."""
+    """True iff max|X^T J X - J| <= tol for M and X = -J M^T J, whose residual
+    is that of M J M^T: the inverse -J M^T J of an accepted M passes the same
+    two tests bit for bit."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise SymplecticError("matrix must be square")
     if M.shape[0] % 2 != 0:
         raise SymplecticError("symplectic matrices have even side")
     J = standard_J(M.shape[0] // 2)
-    return bool(np.max(np.abs(M.T @ J @ M - J)) <= tol)
+    return all(np.max(np.abs(X.T @ J @ X - J)) <= tol for X in (M, -J @ M.T @ J))
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class SymplecticMatrix:
         return self.mat.shape[0] // 2
 
     def inv(self) -> "SymplecticMatrix":
-        # A^-1 = -J A^T J exactly, which keeps the inverse in the group
+        # A^-1 = -J A^T J exactly; `is_symplectic` already accepted it with A
         J = standard_J(self.n)
         return SymplecticMatrix(-J @ self.mat.T @ J, self.tol)
 
@@ -105,6 +107,7 @@ class SymplecticMatrix:
 
 
 def _invertible(M: np.ndarray) -> bool:
+    """The one conditioning test: 2-norm condition number at most COND_BOUND."""
     s = np.linalg.svd(M, compute_uv=False)
     return bool(s[-1] > 0 and s[0] / s[-1] <= COND_BOUND)
 
@@ -396,7 +399,7 @@ def free_factorize(A: SymplecticMatrix) -> tuple[SymplecticMatrix, SymplecticMat
             best_score = score
             best = (cand1, V_C(C).T @ J, s)
     cand1, right, s = best
-    if not (s[-1] > 0 and s[0] / s[-1] <= COND_BOUND):
+    if not _invertible(cand1[:n, n:]):
         raise SymplecticError(
             "free factorization failed: best B-block condition "
             f"{s[0] / max(s[-1], 1e-300):.3g} exceeds bound {COND_BOUND:.3g}"

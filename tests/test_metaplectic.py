@@ -127,6 +127,7 @@ def sample_product_pair(rng, axes):
     # the product of two representable matrices need not be representable:
     # resample until its own chain passes the guards
     from metaplab.metaplectic import _chain_stress, _support_stress
+    from metaplab.signals import _GUARD_SLACK
 
     while True:
         A1 = random_applicable_matrix(rng, 1, axes)
@@ -135,7 +136,7 @@ def sample_product_pair(rng, axes):
             chain = generator_decompose(A1 @ A2, axes)
         except Exception:
             continue
-        if _chain_stress(chain, axes) <= 1.0 and _support_stress(chain) <= 0.95:
+        if _chain_stress(chain, axes) <= _GUARD_SLACK and _support_stress(chain) <= 0.95:
             return A1, A2
 
 
@@ -262,6 +263,25 @@ def test_dense_matrix_guards_like_apply():
         apply(A, gaussian(grid))
     with pytest.raises(SamplingError):
         dense_matrix(A, grid.axes[0])
+
+
+@pytest.mark.parametrize("n, half_width", [(256, None), (96, None), (64, 3.0)])
+def test_chirp_guard_and_chain_search_share_one_boundary(n, half_width):
+    # |C| L exactly at Nyquist is in band for both; 1 + 1e-8 times it is not
+    from metaplab.metaplectic import _chain_stress
+    from metaplab.signals import _GUARD_SLACK, chirp_guard
+
+    axes = default_grid(n, half_width).axes
+    c = axes[0].freq_half_width / axes[0].half_width
+    for scale, in_band in ((1.0, True), (1.0 + 1e-8, False)):
+        C = np.array([[c * scale]])
+        chain = generator_decompose(SymplecticMatrix(V_C(C)), axes)
+        assert (_chain_stress(chain, axes) <= _GUARD_SLACK) == in_band
+        if in_band:
+            chirp_guard(axes, C)
+        else:
+            with pytest.raises(SamplingError):
+                chirp_guard(axes, C)
 
 
 def test_dimension_mismatch_rejected(grid256, phi):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import metaplab.quantize as quantize
+from metaplab.metaplectic import apply_free_quadrature
 from metaplab.quantize import (
     DenseOperator,
     SymbolGrid,
@@ -23,6 +24,7 @@ from metaplab.quantize import (
 from metaplab.signals import (
     Axis,
     GridError,
+    PhaseSpaceField,
     SamplingError,
     default_grid,
     fourier,
@@ -33,7 +35,13 @@ from metaplab.signals import (
     tensor,
     conjugate,
 )
-from metaplab.symplectic import CovariantForm, SymplecticMatrix, stft_matrix, tau_matrix
+from metaplab.symplectic import (
+    CovariantForm,
+    SymplecticMatrix,
+    standard_J,
+    stft_matrix,
+    tau_matrix,
+)
 
 def gauss_symbol(ax):
     return SymbolGrid.from_function(lambda x, xi: np.exp(-np.pi * (x ** 2 + xi ** 2)), ax)
@@ -258,6 +266,7 @@ def _guarded_calls():
     one = SymbolGrid.constant(1.0, ax)
     b = np.broadcast_to(np.complex128(1.0), (64,) * 4)
     wide = default_grid(2048).axes[0]
+    big = default_grid(128).axes[0]
     return {
         "weyl": (384, lambda: weyl(SymbolGrid.constant(1.0, wide), wide)),
         "weyl_4d": (512, lambda: weyl_4d(b, axes)),
@@ -267,6 +276,12 @@ def _guarded_calls():
         # the field side at N = 64 is refused before any n^4 array exists
         "conjugation_check": (512, lambda: conjugation_check(
             tau_matrix(0.5), one, gaussian(grid), hermite(grid, 1))),
+        "free_quadrature_signal": (768, lambda: apply_free_quadrature(
+            standard_J(1), gaussian(default_grid(4096)))),
+        "free_quadrature_field": (384, lambda: apply_free_quadrature(
+            standard_J(2), PhaseSpaceField(big, big, np.zeros((128, 128))))),
+        "op_A_covariant_integral": (1024, lambda: op_A_covariant_integral(
+            CovariantForm.tau(0.5), SymbolGrid.constant(1.0, wide), wide)),
     }
 
 

@@ -25,6 +25,7 @@ from metaplab.symplectic import (
     shift_invertibility,
     standard_J,
     stft_matrix,
+    sympl,
     tau_matrix,
     wigner_decomposition_L,
 )
@@ -37,6 +38,26 @@ def test_is_symplectic_basics():
     assert not is_symplectic(np.diag([2.0, 1.0]), 1e-10)
     with pytest.raises(SymplecticError):
         is_symplectic(np.eye(3))
+
+
+def test_every_accepted_matrix_can_be_inverted():
+    # near-tolerance D_L V_C J products: A^T J A can pass while A J A^T, the
+    # residual of A^{-1} = -J A^T J, does not; membership checks both
+    rng = np.random.default_rng(7)
+    J = standard_J(2)
+    accepted = 0
+    for _ in range(4000):
+        L = rng.uniform(-2.0, 2.0, (2, 2)) + 2.0 * np.eye(2)
+        C = rng.uniform(-2.0, 2.0, (2, 2))
+        M = D_L(L) @ V_C((C + C.T) / 2.0) @ J
+        M = M + 10.0 ** rng.uniform(-13, -9) * rng.standard_normal((4, 4))
+        try:
+            A = sympl(M)
+        except SymplecticError:
+            continue
+        accepted += 1
+        assert np.array_equal(A.inv().inv().mat, A.mat)
+    assert accepted >= 1000, accepted
 
 
 def test_elementary_matrices_are_symplectic():
