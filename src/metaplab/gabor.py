@@ -335,8 +335,6 @@ def metaplectic_factor(T, chi):
     diff = np.abs(composed - sigma2.values)[inside]
     scale = max(float(np.max(np.abs(sigma2.values))), 1e-300)
     report["composition_max_err"] = float(np.max(diff)) / scale
-    if max(report["residual_left"], report["residual_right"]) > _VERIFY_TOL:
-        report["verified"] = False
-    else:
-        report["verified"] = True
+    # NaN residuals fail the test too
+    report["verified"] = all(report[k] <= _VERIFY_TOL for k in ("residual_left", "residual_right"))
     return sigma1, sigma2, report

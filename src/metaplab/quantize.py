@@ -21,6 +21,7 @@ from .signals import (
     PhaseSpaceField,
     SamplingError,
     _check_bytes,
+    _freq_phases,
     centered_dft,
     chirp_phase,
     eval_trig,
@@ -101,12 +102,11 @@ class SymbolGrid:
         xb = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
         yb = np.broadcast_to(np.asarray(xi, dtype=float), shape).ravel()
         c2 = spectral_coefficients(spectral_coefficients(self.values, 0, self.x_axis), 1, self.xi_axis)
-        fx, fy = self.x_axis.freqs(), self.xi_axis.freqs()
         block = max(1, 2 ** 19 // max(c2.shape))  # about 8 MiB per work array
         out = np.empty(xb.size, dtype=np.complex128)
         for s in range(0, xb.size, block):
-            Ex = np.exp(2j * np.pi * np.outer(xb[s:s + block], fx))
-            Ey = np.exp(2j * np.pi * np.outer(yb[s:s + block], fy))
+            Ex = _freq_phases(xb[s:s + block], self.x_axis)
+            Ey = _freq_phases(yb[s:s + block], self.xi_axis)
             out[s:s + block] = ((Ex @ c2) * Ey).sum(1)
         return out.reshape(shape)
 
@@ -473,13 +473,11 @@ def op_A_covariant_integral(form: CovariantForm, a: SymbolGrid, ax: Axis) -> Den
     # B's first axis is the half-step grid; general A11 puts the weighted
     # midpoints off it, so evaluate the interpolant per constant-lag diagonal
     half_ax = Axis(2 * n, ax.half_width)
-    lag_idx = (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n
-    mids = mid.ravel()
-    cols = lag_idx.ravel()
-    evals = np.empty(n * n, dtype=np.complex128)
+    # lag column q holds the entries (k, (k - q + n/2) % n), one per row
+    rows = np.arange(n)
+    evals = np.empty((n, n), dtype=np.complex128)
     for q in range(n):
-        sel = cols == q
-        if np.any(sel):
-            evals[sel] = eval_trig(B[:, q], 0, half_ax, mids[sel])
-    K = _mask_wrap_lags(evals.reshape(n, n), (n,))
+        cols = (rows - q + n // 2) % n
+        evals[rows, cols] = eval_trig(B[:, q], 0, half_ax, mid[rows, cols])
+    K = _mask_wrap_lags(evals, (n,))
     return DenseOperator(ax.step * K, (ax,), "signal")

@@ -6,7 +6,9 @@ x_k = -L + k * (2L/N), and the matching frequency grid is
 xi_j = (-N/2 + j) / (2L).  With the step weights folded in, the discrete
 Fourier transform is then an exact unitary and circular shifts are exact,
 which is what makes the operator identities in the rest of the package hold
-to roundoff instead of to quadrature error.
+to roundoff instead of to quadrature error.  Off-grid evaluation takes its
+phase tables exp(2 pi i t xi_j) from `_freq_phases`, about 2 sqrt(N)
+exponentials per row.
 
 Guards: each refusal is decided in one function.  The CLI exits 3 on
 `SamplingError`, `GridError` and `DecompositionError`, 2 on other
@@ -315,10 +317,24 @@ def synthesize(coeff: np.ndarray, axis: int) -> np.ndarray:
     return centered_dft(coeff, axis, 1.0, inverse=True)
 
 
+def _freq_phases(points, ax: Axis, scale: float = 1.0) -> np.ndarray:
+    """exp(2 pi i t scale xi_k) over `ax.freqs()`, one row (last axis) per point t.
+
+    The frequencies are a progression, so k = K k1 + k2 with K | n near sqrt(n)
+    splits each row into a coarse (n/K) and a fine (K) table: about 2 sqrt(n)
+    exponentials per row instead of n.
+    """
+    t = scale * np.asarray(points, dtype=float)[..., None]
+    K = max(d for d in range(1, int(np.sqrt(ax.n)) + 1) if ax.n % d == 0)
+    coarse = np.exp(2j * np.pi * t * ax.freqs()[::K])
+    fine = np.exp(2j * np.pi * t * (ax.freq_step * np.arange(K)))
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(t.shape[:-1] + (ax.n,))
+
+
 def eval_trig(values: np.ndarray, axis: int, ax: Axis, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant along `axis` at arbitrary points."""
     coeff = spectral_coefficients(values, axis, ax)
-    E = np.exp(2j * np.pi * np.outer(points, ax.freqs()))
+    E = _freq_phases(points, ax)
     moved = np.moveaxis(coeff, axis, -1)
     out = moved @ E.T
     return np.moveaxis(out, -1, axis)
@@ -335,9 +351,9 @@ def shift_spectral(values: np.ndarray, axis: int, ax: Axis, amount) -> np.ndarra
     amount = step / 2, so they share this one Nyquist convention.
     """
     coeff = spectral_coefficients(values, axis, ax)
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    ramp = np.exp(2j * np.pi * (ax.freqs().reshape(shape) * np.asarray(amount)))
+    amount = np.asarray(amount, dtype=float)
+    amount = amount.reshape((1,) * (values.ndim - amount.ndim) + amount.shape)
+    ramp = np.swapaxes(_freq_phases(amount, ax), axis % values.ndim, -1)[..., 0]
     return synthesize(coeff * ramp, axis)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "standard_J",
@@ -490,6 +489,8 @@ class QuadraticHamiltonian:
 
 def hamiltonian_flow(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
     """Classical flow chi_t = expm(t G / 2pi); always lands in Sp(d, R)."""
+    from scipy.linalg import expm  # here, so that importing metaplab skips scipy.linalg
+
     M = expm((t / (2.0 * np.pi)) * h.generator())
     return SymplecticMatrix(M, 1e-8)
 

@@ -20,11 +20,11 @@ from .signals import (
     GridError,
     GridSignal,
     PhaseSpaceField,
+    _freq_phases,
     centered_dft,
     chirp_guard,
     chirp_phase,
     conjugate,
-    eval_trig,
     field_fourier,
     shift_spectral,
     spectral_coefficients,
@@ -184,23 +184,24 @@ def stft_reduction(A, f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     n = ax.n
     fine_n = p * n
     t_fine = -ax.half_width + (ax.step / p) * np.arange(fine_n)
-    f_fine = eval_trig(f.values, 0, ax, t_fine)
+    # f on the p-times refined grid: p exact shifts of the base samples
+    shifts = (ax.step / p) * np.arange(p)
+    f_fine = shift_spectral(f.values[:, None], 0, ax, shifts[None, :]).ravel()
     # window bank g~(t_m - c x_k) = g(beta t_m - beta c x_k), evaluated on the
     # separable point lattice through two phase matrices and zero-extended
     # outside the fundamental window (a circular shift would wrap ghost
     # windows back into the support at large |c x|)
     coeff = spectral_coefficients(g.values, 0, ax)
-    E1 = np.exp(2j * np.pi * np.outer(t_fine * beta, ax.freqs()))
-    E2 = np.exp(-2j * np.pi * np.outer(ax.freqs(), (beta * c_fac) * ax.points()))
+    E1 = _freq_phases(t_fine, ax, beta)
+    E2 = _freq_phases(ax.points(), ax, -beta * c_fac).T
     G_sh = E1 @ (coeff[:, None] * E2)  # (fine_n, n)
     pts = beta * (t_fine[:, None] - c_fac * ax.points()[None, :])
     G_sh[(pts < -ax.half_width) | (pts >= ax.half_width)] = 0.0
     P = f_fine[:, None] * np.conj(G_sh)
-    d_freqs = ax.freqs() / a23
-    E = np.exp(-2j * np.pi * np.outer(t_fine, d_freqs))
+    E = _freq_phases(t_fine, ax, -1.0 / a23)
     V = (ax.step / p) * (P.T @ E)  # (k, j)
     pref = np.sqrt(abs(np.linalg.det(L_mat))) / abs(a23)
-    phase = np.exp(2j * np.pi * np.outer(a33 * ax.points(), d_freqs))
+    phase = _freq_phases(ax.points(), ax, a33 / a23)
     return PhaseSpaceField(ax, ax.dual(), pref * phase * V)
 
 

@@ -221,3 +221,16 @@ def test_metaplectic_factor_off_the_fourier_case():
     _, _, rep = metaplectic_factor(T, chi)
     assert rep["verified"]
     assert rep["composition_max_err"] <= 1e-8
+
+
+def test_metaplectic_factor_nan_residual_is_not_verified():
+    # NaN residuals compare False against the tolerance both ways, so the
+    # test has to be `residual <= tol`, never `residual > tol`
+    ax = default_grid(64).axes[0]
+    chi = SymplecticMatrix(standard_J(1))
+    T_mat = np.eye(ax.n, dtype=np.complex128)
+    T_mat[3, 5] = np.nan
+    with np.errstate(invalid="ignore"):
+        _, _, rep = metaplectic_factor(DenseOperator(T_mat, (ax,), "signal"), chi)
+    assert np.isnan(rep["residual_left"]) or np.isnan(rep["residual_right"])
+    assert rep["verified"] is False

@@ -471,3 +471,33 @@ def test_covariant_integral_cross_check():
     rel = np.linalg.norm(aligned - want.matrix) / np.linalg.norm(want.matrix)
     # reported, not asserted tightly: the convolution factor is distributional
     assert rel < 1e-3, rel
+
+
+def test_covariant_integral_diagonals_match_the_lag_mask(monkeypatch):
+    # lag column q is the closed-form diagonal (k, (k - q + n/2) % n): it
+    # picks the points the per-lag mask `lag_idx == q` picked, in the same
+    # order, so K is bit-identical to the mask construction
+    ax = default_grid(32).axes[0]
+    n = ax.n
+    form = CovariantForm(np.array([[0.3]]), np.array([[0.1]]), np.array([[0.2]]))
+    calls = []
+
+    def recording(values, axis, half_ax, points):
+        out = eval_trig(values, axis, half_ax, points)
+        calls.append((points.copy(), out))
+        return out
+
+    eval_trig = quantize.eval_trig
+    monkeypatch.setattr(quantize, "eval_trig", recording)
+    got = op_A_covariant_integral(form, gauss_symbol(ax), ax).matrix
+    x, y = ax.points()[:, None], ax.points()[None, :]
+    mids = (0.3 * x + 0.7 * y).ravel()
+    lags = ((np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n).ravel()
+    evals = np.empty(n * n, dtype=np.complex128)
+    assert len(calls) == n
+    for q, (points, out) in enumerate(calls):
+        sel = lags == q
+        assert np.array_equal(points, mids[sel])
+        evals[sel] = out
+    want = ax.step * quantize._mask_wrap_lags(evals.reshape(n, n), (n,))
+    assert np.array_equal(got, want)

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from metaplab.signals import (
     GridSignal,
     PhaseSpaceField,
     SamplingError,
+    _freq_phases,
     centered_dft,
     chirp_multiply,
     conjugate,
@@ -242,6 +245,31 @@ def test_shift_spectral_bank_from_length_one_slot(rng):
         assert np.max(np.abs(bank[:, m] - eval_trig(f, 0, ax, ax.points() + a))) <= tol
 
 
+@pytest.mark.parametrize("n", [2, 16, 18, 128, 256])
+@pytest.mark.parametrize("scale", [1.0, -1.0, 1.0 / 0.3])
+def test_freq_phases_matches_the_dense_table(n, scale):
+    # the coarse-times-fine split of each row against one exponential per
+    # entry, at points inside the window (fine width K = 3 at n = 18, 1 at n = 2)
+    ax = self_dual_axis(n)
+    rng = np.random.default_rng(n)
+    for points in (0.37 * ax.half_width,
+                   ax.points(),
+                   rng.uniform(-ax.half_width, ax.half_width, (3, 5))):
+        want = np.exp(2j * np.pi * np.multiply.outer(scale * np.asarray(points), ax.freqs()))
+        got = _freq_phases(points, ax, scale)
+        assert got.shape == np.shape(points) + (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg (expm) is imported by its one caller, hamiltonian_flow
+    code = "import sys, metaplab; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_max_workers_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("METAPLAB_THREADS", str(10 ** 9))
@@ -337,3 +365,9 @@ def test_one_byte_budget_is_the_memory_guard():
         if path.name != "signals.py":
             assert "_BYTE_BUDGET" not in text, path.name
             assert not re.search(r"1\.0\s*\+\s*1(\.0)?e-9", text), path.name
+        # dense phase tables over grid frequencies go through
+        # signals._freq_phases; only the quadrature oracle builds its own
+        dense = r"np\.exp\(\s*[-+]?2j\s*\*\s*np\.pi\s*\*[^()]*np\.outer\("
+        for m in re.finditer(dense, text):
+            where = re.findall(r"^(?:def|class) (\w+)", text[:m.start()], re.M)
+            assert where[-1:] == ["apply_free_quadrature"], (path.name, m.group())

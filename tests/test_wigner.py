@@ -15,6 +15,7 @@ from metaplab.signals import (
     translate_field,
 )
 from metaplab.symplectic import (
+    BlockDecomposition,
     CovariantForm,
     cohen_B,
     shift_invertibility,
@@ -198,6 +199,42 @@ def test_stft_reduction_agreement(grid256, rng):
         R = stft_reduction(tau_matrix(tau), f, g)
         Wt = tau_wigner(f, g, tau)
         assert rel_err(np.abs(R.values), np.abs(Wt.values)) <= 1e-7
+
+
+def dense_stft_reduction(A, f, g):
+    """stft_reduction with one exponential per table entry, f on the refined
+    grid from its interpolant and the coefficients as a direct sum."""
+    b = BlockDecomposition.of(A)
+    a23, a24 = float(b[2, 3][0, 0]), float(b[2, 4][0, 0])
+    a33, a34 = float(b[3, 3][0, 0]), float(b[3, 4][0, 0])
+    ax = f.grid.axes[0]
+    beta, c_fac = a24 / a23, a33 - a23 * a34 / a24
+    need = max(2.0, abs(1.0 / a23), (1.0 + abs(beta)) / 2.0 + 0.5)
+    p = 1 << int(np.ceil(np.log2(need)))
+    t_fine = -ax.half_width + (ax.step / p) * np.arange(p * ax.n)
+    dft = ax.step * ax.freq_step * np.exp(-2j * np.pi * np.outer(ax.freqs(), ax.points()))
+    f_fine = np.exp(2j * np.pi * np.outer(t_fine, ax.freqs())) @ (dft @ f.values)
+    coeff = dft @ g.values
+    E1 = np.exp(2j * np.pi * np.outer(t_fine * beta, ax.freqs()))
+    E2 = np.exp(-2j * np.pi * np.outer(ax.freqs(), (beta * c_fac) * ax.points()))
+    G_sh = E1 @ (coeff[:, None] * E2)
+    pts = beta * (t_fine[:, None] - c_fac * ax.points()[None, :])
+    G_sh[(pts < -ax.half_width) | (pts >= ax.half_width)] = 0.0
+    d_freqs = ax.freqs() / a23
+    E = np.exp(-2j * np.pi * np.outer(t_fine, d_freqs))
+    V = (ax.step / p) * ((f_fine[:, None] * np.conj(G_sh)).T @ E)
+    pref = np.sqrt(abs(a33 * a24 - a23 * a34)) / abs(a23)
+    return pref * np.exp(2j * np.pi * np.outer(a33 * ax.points(), d_freqs)) * V
+
+
+def test_stft_reduction_matches_the_dense_tables(grid256, rng):
+    # the benchmark's tau deck; p runs 2 and 4
+    f = smooth_noise(grid256, rng)
+    g = gaussian(grid256, center=0.5, freq=-0.75)
+    for tau in np.linspace(0.25, 0.75, 11):
+        want = dense_stft_reduction(tau_matrix(tau), f, g)
+        got = stft_reduction(tau_matrix(tau), f, g).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), tau
 
 
 def test_stft_reduction_rejects_non_right_regular(grid256, phi):
