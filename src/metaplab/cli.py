@@ -265,6 +265,7 @@ def cmd_evolve(cfg: dict) -> int:
                   (times, [c["residual"] for c in checks]))
         meta["transport_check_tau"] = check_tau
         meta["transport_routes"] = [c["route"] for c in checks]
+        meta["transport_verified"] = [c["verified"] for c in checks]
     write_json(out / "meta.json", meta)
     return 0
 

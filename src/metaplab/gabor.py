@@ -108,7 +108,6 @@ def frame_bounds(g: GridSignal, lattice: GaborLattice) -> tuple[float, float]:
 class GaborMatrixData:
     entries: np.ndarray
     points: np.ndarray
-    window: GridSignal
 
     def __post_init__(self):
         if self.entries.shape != (len(self.points), len(self.points)):
@@ -126,7 +125,7 @@ def gabor_matrix(
     gnorm2 = g.norm() ** 2
     if np.max(np.abs(M)) > bound * gnorm2 * (1.0 + 1e-8):
         raise FrameError("Gabor matrix exceeds the operator-norm bound")
-    return GaborMatrixData(M, pts, g)
+    return GaborMatrixData(M, pts)
 
 
 @dataclass(frozen=True)

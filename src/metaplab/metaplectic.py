@@ -23,6 +23,7 @@ from .signals import (
     _GUARD_SLACK,
     _axes_of,
     _check_bytes,
+    _dft,
     _rescale_values,
     centered_dft,
     chirp_guard,
@@ -332,12 +333,6 @@ def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorCha
 
 # ---------------------------------------------------------------------------
 # application
-
-
-def _dft(values: np.ndarray, axes: tuple[Axis, ...], inverse: bool = False) -> np.ndarray:
-    """Centred DFT over the leading grid axes; self-dual grids map onto themselves."""
-    steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
-    return centered_dft(values, tuple(range(len(axes))), steps, inverse)
 
 
 def _realize(gen: Generator, values: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:

@@ -136,8 +136,8 @@ class DenseOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
-def _mask_wrap_lags(K: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Zero signal-kernel entries with positional separation beyond L.
+def _wrap_lags(n: int) -> np.ndarray:
+    """Entries of an n x n signal kernel with positional separation beyond L.
 
     On the torus those entries hold lag-periodization images of the
     near-diagonal content, and different (individually exact) quantization
@@ -146,10 +146,13 @@ def _mask_wrap_lags(K: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     boundary the true values there are negligible.  Field-side operators are
     never masked: their kernels genuinely extend to all lags.
     """
-    n = shape[0]
     k = np.arange(n)
-    keep = np.abs(k[:, None] - k[None, :]) <= n // 2
-    return np.where(keep, K, 0.0)
+    return np.abs(k[:, None] - k[None, :]) > n // 2
+
+
+def _mask_wrap_lags(K: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Copy of K with the `_wrap_lags` entries zeroed."""
+    return np.where(_wrap_lags(shape[0]), 0.0, K)
 
 
 def _half_points(ax: Axis) -> np.ndarray:
@@ -166,8 +169,9 @@ def _symbol_half_samples(a: SymbolGrid, ax: Axis) -> np.ndarray:
     if a.xi_axis != ax.dual() or (a.func is None and a.x_axis != ax):
         raise GridError("symbol axes do not match the quantization axis")
     if a.func is not None:
-        X, Y = np.meshgrid(_half_points(ax), a.xi_axis.points(), indexing="ij")
-        return np.asarray(a.func(X, Y), dtype=np.complex128)
+        # `func` broadcasts: no coordinate grids; a smaller result is broadcast
+        vals = a.func(_half_points(ax)[:, None], a.xi_axis.points()[None, :])
+        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (2 * ax.n, a.xi_axis.n))
     half = shift_spectral(a.values, 0, a.x_axis, a.x_axis.step / 2)
     return np.stack([a.values, half], axis=1).reshape(2 * a.x_axis.n, -1)
 
@@ -186,16 +190,18 @@ def weyl(a: SymbolGrid, ax: Axis | None = None, mask_wrap_lags: bool = True) -> 
     """
     ax = ax if ax is not None else a.x_axis
     n = ax.n
-    # the half-step samples and their lag transform (2 n^2 each), two kernels
-    _check_bytes(f"weyl at N = {n}", 6 * 16 * n * n)
-    half = _symbol_half_samples(a, ax)  # (2n, n_xi)
-    B = centered_dft(half, 1, a.xi_axis.step, inverse=True)  # lags on the x grid
+    # the half-step samples and their lag transform (2 n^2 each) at once
+    _check_bytes(f"weyl at N = {n}", 4 * 16 * n * n)
+    # lags on the x grid; no name keeps the half-step samples past the transform
+    B = centered_dft(_symbol_half_samples(a, ax), 1, a.xi_axis.step, inverse=True)
     k = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     K = B[k + m, (k - m + n // 2) % n]
+    del B
     if mask_wrap_lags:
-        K = _mask_wrap_lags(K, (n,))
-    return DenseOperator(ax.step * K, (ax,), "signal")
+        K[_wrap_lags(n)] = 0.0
+    K *= ax.step
+    return DenseOperator(K, (ax,), "signal")
 
 
 def _weyl_4d_slabs(b: np.ndarray, axes: tuple[Axis, Axis]):

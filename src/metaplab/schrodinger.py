@@ -10,7 +10,7 @@ machinery with its propagation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,14 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-8  # relative Hermitian defect hamiltonian_matrix accepts
+_TRANSPORT_TOL = 1e-5  # transported-representation residual evolved_wigner_check accepts
+# wave-front classification: weight orders of the cone integrals, the slope
+# threshold as a fraction of the worst-case weight growth, and the top-order
+# mass floors relative to the largest cone and to ||f||^4
+_WF_ORDERS = (0, 1, 2, 3, 4)
+_WF_THRESHOLD_FACTOR = 0.4
+_WF_MASS_FLOOR = 1e-4
+_WF_MASS_ABS = 5.0
 
 
 @dataclass(frozen=True)
@@ -149,14 +157,8 @@ def compose_field_linear(F: PhaseSpaceField, M: np.ndarray) -> PhaseSpaceField:
     return F.with_values(vals)
 
 
-def evolved_wigner_check(
-    h: QuadraticHamiltonian,
-    tau: float,
-    t: float,
-    u0: GridSignal,
-    perturbed: Hamiltonian | None = None,
-) -> dict:
-    """Residual of the transported-representation identity.
+def evolved_wigner_check(h: QuadraticHamiltonian, tau: float, t: float, u0: GridSignal) -> dict:
+    """Residual of the transported-representation identity, with its verdict.
 
     Checks W_tau(u(t))(z) = W_{A_t} u0 (chi_t^{-1} z) with A_t the covariant
     matrix carried along the flow; the right side is composed with
@@ -164,13 +166,11 @@ def evolved_wigner_check(
     phase-free covariant quadrature when its chirps stay in band ("route":
     "covariant"), else from the generator chain of A_t ("route": "chain"),
     whose global unimodular constant is not aligned away: it sits at 1 to
-    roundoff on the free and quadratic flows.
+    roundoff on the free and quadratic flows.  "verified" holds when the
+    residual is at most `_TRANSPORT_TOL`; a NaN residual is not verified.
     """
     chi = hamiltonian_flow(h, t)
-    if perturbed is None:
-        u_t = propagate_quadratic(h, t, u0)
-    else:
-        u_t = propagate_perturbed(perturbed, t, u0)
+    u_t = propagate_quadratic(h, t, u0)
     lhs = tau_wigner(u_t, u_t, tau)
     B_t = evolve_cohen_B(cohen_B(CovariantForm.tau(tau)), chi)
     form_t = covariant_from_cohen_B(B_t)
@@ -181,38 +181,30 @@ def evolved_wigner_check(
         W_t, route = wigner_A(form_t.matrix(), u0, u0), "chain"
     rhs = compose_field_linear(W_t, chi.inv().mat)
     num = np.linalg.norm((lhs.values - rhs.values).ravel())
-    den = np.linalg.norm(lhs.values.ravel())
+    residual = float(num / np.linalg.norm(lhs.values.ravel()))
     return {
-        "residual": float(num / den),
+        "residual": residual,
+        "verified": residual <= _TRANSPORT_TOL,
         "route": route,
         "flow": chi.mat,
         "evolved_form": form_t,
     }
 
 
-def wigner_kernel_check(
-    H: Hamiltonian,
-    form: CovariantForm,
-    t: float,
-    u0: GridSignal | None = None,
-    centers: np.ndarray | None = None,
-    weights: tuple = (0, 1, 2),
-    off_diag_radius: float = 1.0,
-) -> dict:
+def wigner_kernel_check(H: Hamiltonian, form: CovariantForm, t: float, u0: GridSignal) -> dict:
     """Concentration of the evolved-representation kernel along the flow graph.
 
     The induced map W_{A_t} u0 -> W_A(e^{itH} u0) is probed on coherent states
-    pi(c) u0: each response field should concentrate where chi_t^{-1} z sits
-    near c.  Reports, per probe, the off-graph mass fraction and the window
-    norms with weights <chi_t^{-1} z - c>^{2N}; the growth ratios across N
+    pi(c) u0, c on the 3x3 lattice {-1, 0, 1}^2: each response field should
+    concentrate where chi_t^{-1} z sits near c.  Reports, per probe, the
+    mass fraction off the unit disc around c and the window norms with
+    weights <chi_t^{-1} z - c>^{2N}, N = 0, 1, 2; the growth ratios across N
     are evidence about boundedness on the truncated window, not a verdict.
     """
     chi = hamiltonian_flow(H.quad, t)
-    if u0 is None:
-        raise GridError("wigner_kernel_check needs a base signal")
     ax = u0.grid.axes[0]
-    if centers is None:
-        centers = np.array([[x, xi] for x in (-1.0, 0.0, 1.0) for xi in (-1.0, 0.0, 1.0)])
+    centers = np.array([[x, xi] for x in (-1.0, 0.0, 1.0) for xi in (-1.0, 0.0, 1.0)])
+    weights = (0, 1, 2)
     B_t = evolve_cohen_B(cohen_B(form), chi)
     form_t = covariant_from_cohen_B(B_t)
     inv = chi.inv().mat
@@ -232,7 +224,7 @@ def wigner_kernel_check(
         R = wigner_A_covariant(form, ut, ut).values
         dist2 = (back_x - c[0]) ** 2 + (back_xi - c[1]) ** 2
         total = float(np.sum(np.abs(R) ** 2) * cell)
-        off = float(np.sum(np.abs(R[dist2 > off_diag_radius ** 2]) ** 2) * cell)
+        off = float(np.sum(np.abs(R[dist2 > 1.0]) ** 2) * cell)
         norms = {}
         for N in weights:
             wgt = (1.0 + dist2) ** N
@@ -264,8 +256,8 @@ class WaveFrontReport:
 
     For each angular bin: I(N) = sum over the cone (|z| >= r0) of
     <z>^{2N} |field|^2 * cell.  A cone is flagged singular when the fitted
-    slope of log I against N exceeds `threshold`; the threshold per spec is
-    configuration, not truth, and both slopes and raw integrals are reported.
+    slope of log I against N exceeds `threshold`; the threshold is a fixed
+    rule, not truth, and both slopes and raw integrals are reported.
     Cones without enough radial dynamic range are flagged inconclusive.
     """
 
@@ -276,49 +268,39 @@ class WaveFrontReport:
     threshold: float
     singular: np.ndarray
     inconclusive: np.ndarray
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def singular_bins(self) -> np.ndarray:
         return np.where(self.singular & ~self.inconclusive)[0]
 
 
-def _field_for_rep(f: GridSignal, rep, window: GridSignal | None):
+def _field_for_rep(f: GridSignal, rep):
     if isinstance(rep, CovariantForm):
         return wigner_A_covariant(rep, f, f)
     if rep == "wigner":
         return wigner_cross(f, f)
     if rep == "stft_global":
-        g = window if window is not None else gaussian(f.grid)
-        return stft(f, g)
+        return stft(f, gaussian(f.grid))
     raise ValueError(f"unknown representation {rep!r}")
 
 
-def wavefront(
-    f: GridSignal,
-    rep="wigner",
-    n_bins: int = 64,
-    r0: float = 2.0,
-    orders: tuple = (0, 1, 2, 3, 4),
-    threshold_factor: float = 0.4,
-    mass_floor: float = 1e-4,
-    mass_abs: float = 5.0,
-    window: GridSignal | None = None,
-) -> WaveFrontReport:
+def wavefront(f: GridSignal, rep="wigner", n_bins: int = 64, r0: float = 2.0) -> WaveFrontReport:
     """Directional tail-decay report of |W f|^2 (or the chosen representation).
 
-    Per cone the integrals I(N) are exactly nondecreasing in N.  A cone is
-    flagged singular when three configurable pieces of evidence agree: the
-    slope of log I(N) against N exceeds `threshold_factor` times the
-    worst-case weight growth log(<r_max>^2); the top-order integral carries
-    at least `mass_floor` of the largest cone's (so slopes fitted to noise
-    floors carry no weight); and the top-order integral, normalized by the
-    fourth power of the signal norm, exceeds `mass_abs` (jump-type
-    singularities accumulate orders of magnitude more weighted tail mass at
-    desk scale than any Schwartz signal pushed through a bounded flow).
-    Both the slopes and the raw integrals are reported: the rule is
-    configuration, not truth.
+    Per cone the integrals I(N), N in `_WF_ORDERS`, are exactly
+    nondecreasing in N.  A cone is flagged singular when three pieces of
+    evidence agree: the slope of log I(N) against N exceeds
+    `_WF_THRESHOLD_FACTOR` times the worst-case weight growth
+    log(<r_max>^2); the top-order integral carries at least `_WF_MASS_FLOOR`
+    of the largest cone's (so slopes fitted to noise floors carry no
+    weight); and the top-order integral, normalized by the fourth power of
+    the signal norm, exceeds `_WF_MASS_ABS` (jump-type singularities
+    accumulate orders of magnitude more weighted tail mass at desk scale
+    than any Schwartz signal pushed through a bounded flow).  Both the
+    slopes and the raw integrals are reported: the rule is a fixed
+    convention, not truth.  `stft_global` uses the Gaussian window.
     """
-    F = _field_for_rep(f, rep, window)
+    F = _field_for_rep(f, rep)
     vals = np.abs(F.values) ** 2
     xs = F.x_axis.points()
     xis = F.xi_axis.points()
@@ -332,26 +314,26 @@ def wavefront(
     r_max = float(np.sqrt(np.max(r2)))
     # dynamic range of the weight ladder across the radial window, in decades
     decades = (
-        2.0 * max(orders) * np.log10(np.sqrt(1.0 + r_max ** 2) / np.sqrt(1.0 + r0 ** 2))
+        2.0 * max(_WF_ORDERS) * np.log10(np.sqrt(1.0 + r_max ** 2) / np.sqrt(1.0 + r0 ** 2))
     )
-    integrals = np.zeros((n_bins, len(orders)))
+    integrals = np.zeros((n_bins, len(_WF_ORDERS)))
     w_base = 1.0 + r2
-    for j, N in enumerate(orders):
+    for j, N in enumerate(_WF_ORDERS):
         contrib = vals * w_base ** N * cell
         contrib = np.where(sel, contrib, 0.0)
         integrals[:, j] = np.bincount(bin_idx.ravel(), contrib.ravel(), minlength=n_bins)
     counts = np.bincount(bin_idx.ravel(), sel.ravel().astype(float), minlength=n_bins).astype(int)
     slopes = np.full(n_bins, -np.inf)
-    orders_arr = np.array(orders, dtype=float)
+    orders_arr = np.array(_WF_ORDERS, dtype=float)
     for b in range(n_bins):
         vals_b = integrals[b]
         if np.all(vals_b > 0):
             slopes[b] = float(np.polyfit(orders_arr, np.log(vals_b), 1)[0])
-    threshold = threshold_factor * np.log(1.0 + r_max ** 2)
+    threshold = _WF_THRESHOLD_FACTOR * np.log(1.0 + r_max ** 2)
     top = integrals[:, -1]
     norm4 = max(float(np.sum(vals) * cell), 1e-300)  # = ||field||_2^2 ~ ||f||^4
-    significant = (top > mass_floor * max(float(np.max(top)), 1e-300)) & (
-        top / norm4 > mass_abs
+    significant = (top > _WF_MASS_FLOOR * max(float(np.max(top)), 1e-300)) & (
+        top / norm4 > _WF_MASS_ABS
     )
     singular = (slopes > threshold) & significant
     inconclusive = (counts < 8) | np.full(n_bins, decades < 2.0)
@@ -359,7 +341,7 @@ def wavefront(
         angles=(np.arange(n_bins) + 0.5) * bin_w,
         integrals=integrals,
         slopes=slopes,
-        orders=orders,
+        orders=_WF_ORDERS,
         threshold=float(threshold),
         singular=singular,
         inconclusive=inconclusive,
@@ -401,18 +383,13 @@ def map_bins_through(chi: SymplecticMatrix, bins, n_bins: int) -> set:
 
 
 def wavefront_propagation_check(
-    H: Hamiltonian,
-    t: float,
-    u0: GridSignal,
-    rep="wigner",
-    n_bins: int = 64,
-    **kw,
+    H: Hamiltonian, t: float, u0: GridSignal, rep="wigner", n_bins: int = 64
 ) -> dict:
     """Compare singular directions of u(t) with the flow image of those of u0."""
     chi = hamiltonian_flow(H.quad, t)
     u_t = propagate_perturbed(H, t, u0)
-    wf_t = wavefront(u_t, rep=rep, n_bins=n_bins, **kw)
-    wf_0 = wavefront(u0, rep=rep, n_bins=n_bins, **kw)
+    wf_t = wavefront(u_t, rep=rep, n_bins=n_bins)
+    wf_0 = wavefront(u0, rep=rep, n_bins=n_bins)
     predicted = map_bins_through(chi, wf_0.singular_bins(), n_bins)
     observed = set(int(b) for b in wf_t.singular_bins())
     dist = angular_hausdorff_bins(observed, predicted, n_bins)

@@ -59,6 +59,11 @@ __all__ = [
     "default_grid",
     "self_dual_axis",
     "phase_align",
+    "centered_dft",
+    "spectral_coefficients",
+    "synthesize",
+    "eval_trig",
+    "shift_spectral",
 ]
 
 # slack so that the boundary case |C| * L == Nyquist passes the chirp guard
@@ -275,20 +280,19 @@ def centered_dft(values: np.ndarray, axes, steps, inverse: bool) -> np.ndarray:
     return out
 
 
-def _grid_dft(f: GridSignal, inverse: bool) -> GridSignal:
-    axes = f.grid.axes
+def _dft(values: np.ndarray, axes: tuple[Axis, ...], inverse: bool = False) -> np.ndarray:
+    """Centred DFT over the leading grid `axes`; self-dual grids map onto themselves."""
     steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
-    vals = centered_dft(f.values, tuple(range(len(axes))), steps, inverse)
-    return GridSignal(Grid(tuple(ax.dual() for ax in axes)), vals)
+    return centered_dft(values, tuple(range(len(axes))), steps, inverse)
 
 
 def fourier(f: GridSignal) -> GridSignal:
     """Unitary Fourier transform onto the dual grid (same grid when self-dual)."""
-    return _grid_dft(f, inverse=False)
+    return GridSignal(f.grid.dual(), _dft(f.values, f.grid.axes))
 
 
 def inverse_fourier(f: GridSignal) -> GridSignal:
-    return _grid_dft(f, inverse=True)
+    return GridSignal(f.grid.dual(), _dft(f.values, f.grid.axes, inverse=True))
 
 
 def field_fourier(F: PhaseSpaceField, inverse: bool = False) -> PhaseSpaceField:
@@ -297,8 +301,7 @@ def field_fourier(F: PhaseSpaceField, inverse: bool = False) -> PhaseSpaceField:
     for ax in axes:
         if not ax.is_self_dual:
             raise GridError("field transforms need self-dual axes")
-    steps = tuple(ax.freq_step if inverse else ax.step for ax in axes)
-    return F.with_values(centered_dft(F.values, (0, 1), steps, inverse))
+    return F.with_values(_dft(F.values, axes, inverse))
 
 
 def partial_fourier_2(F: PhaseSpaceField) -> PhaseSpaceField:
@@ -529,17 +532,21 @@ def rescale(obj, L_mat):
     return obj.with_values(_rescale_values(obj.values, _axes_of(obj), L_mat))
 
 
+def _translate(values: np.ndarray, axis: int, ax: Axis, amount: float) -> np.ndarray:
+    """Samples of f(t - amount) along `axis`: exact roll when on-grid."""
+    steps = amount / ax.step
+    if abs(steps - round(steps)) < 1e-9:
+        return np.roll(values, int(round(steps)), axis=axis)
+    return shift_spectral(values, axis, ax, -amount)
+
+
 def tf_shift(f: GridSignal, z) -> GridSignal:
     """Time-frequency shift M_xi0 T_x0 f; exact circular shift for on-grid x0."""
     if f.grid.dim != 1:
         raise GridError("tf_shift is implemented for 1-D signals")
     x0, xi0 = float(z[0]), float(z[1])
     ax = f.grid.axes[0]
-    steps = x0 / ax.step
-    if abs(steps - round(steps)) < 1e-9:
-        vals = np.roll(f.values, int(round(steps)))
-    else:
-        vals = shift_spectral(f.values, 0, ax, -x0)
+    vals = _translate(f.values, 0, ax, x0)
     return f.with_values(vals * np.exp(2j * np.pi * xi0 * ax.points()))
 
 
@@ -547,11 +554,7 @@ def translate_field(F: PhaseSpaceField, z) -> PhaseSpaceField:
     """T_z F(w) = F(w - z), exact circular shift per axis when z is on-grid."""
     out = F.values
     for i, (ax, amount) in enumerate(zip((F.x_axis, F.xi_axis), z)):
-        steps = float(amount) / ax.step
-        if abs(steps - round(steps)) < 1e-9:
-            out = np.roll(out, int(round(steps)), axis=i)
-        else:
-            out = shift_spectral(out, i, ax, -float(amount))
+        out = _translate(out, i, ax, float(amount))
     return F.with_values(out)
 
 
@@ -621,18 +624,17 @@ def two_bump(grid: Grid, x0: float = 5.0, xi0: float = 5.0) -> GridSignal:
     )
 
 
-def smooth_noise(grid: Grid, rng: np.random.Generator, bandwidth: float = 0.08,
-                 envelope: float = 0.08) -> GridSignal:
+def smooth_noise(grid: Grid, rng: np.random.Generator) -> GridSignal:
     """Random signal with space and frequency headroom.
 
-    White noise is low-passed to `bandwidth` * Nyquist and windowed by a
-    Gaussian envelope of width `envelope` * L, then L2-normalized, so the
-    rescaling operators act on it within their stated tolerance.
+    White noise is low-passed to 0.08 * Nyquist and windowed by a Gaussian
+    envelope of width 0.08 * L, then L2-normalized, so the rescaling
+    operators act on it within their stated tolerance.
     """
     ax = grid.axes[0]
     spec = rng.standard_normal(ax.n) + 1j * rng.standard_normal(ax.n)
-    spec *= np.exp(-0.5 * (ax.freqs() / (bandwidth * ax.freq_half_width)) ** 2)
+    spec *= np.exp(-0.5 * (ax.freqs() / (0.08 * ax.freq_half_width)) ** 2)
     vals = centered_dft(spec, 0, ax.freq_step, inverse=True)
-    vals *= np.exp(-0.5 * (ax.points() / (envelope * ax.half_width)) ** 2)
+    vals *= np.exp(-0.5 * (ax.points() / (0.08 * ax.half_width)) ** 2)
     sig = GridSignal(grid, vals)
     return sig.with_values(sig.values / sig.norm())

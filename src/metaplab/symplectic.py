@@ -111,10 +111,10 @@ def _invertible(M: np.ndarray) -> bool:
     return bool(s[-1] > 0 and s[0] / s[-1] <= COND_BOUND)
 
 
-def sympl(mat, tol: float = DEFAULT_TOL) -> SymplecticMatrix:
+def sympl(mat) -> SymplecticMatrix:
     if isinstance(mat, SymplecticMatrix):
         return mat
-    return SymplecticMatrix(np.asarray(mat, dtype=float), tol)
+    return SymplecticMatrix(np.asarray(mat, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +207,11 @@ class BlockDecomposition:
     d: int
 
     @classmethod
-    def of(cls, M, d: int | None = None) -> "BlockDecomposition":
+    def of(cls, M) -> "BlockDecomposition":
         M = M.mat if isinstance(M, SymplecticMatrix) else np.asarray(M, dtype=float)
         if M.shape[0] % 4 != 0:
             raise SymplecticError("need a 4d x 4d matrix to take d-blocks")
-        if d is None:
-            d = M.shape[0] // 4
+        d = M.shape[0] // 4
         rows = []
         for i in range(4):
             rows.append(
@@ -341,11 +340,10 @@ def cohen_B(cov: CovariantForm) -> np.ndarray:
     )
 
 
-def covariant_from_cohen_B(B: np.ndarray, d: int | None = None) -> CovariantForm:
+def covariant_from_cohen_B(B: np.ndarray) -> CovariantForm:
     """Inverse of `cohen_B`: recover (A11, A13, A21) from the symmetric matrix."""
     B = np.asarray(B, dtype=float)
-    if d is None:
-        d = B.shape[0] // 2
+    d = B.shape[0] // 2
     if np.max(np.abs(B - B.T)) > 1e-9:
         raise SymplecticError("Cohen matrix must be symmetric")
     a13 = B[:d, :d]
@@ -480,11 +478,11 @@ class QuadraticHamiltonian:
         return cls(Z, Z, -8.0 * np.pi ** 2 * np.eye(d))
 
     @classmethod
-    def harmonic(cls, d: int = 1, angular: float = 1.0) -> "QuadraticHamiltonian":
-        """a = angular * pi (|x|^2 + |xi|^2): rotation of phase space at unit rate."""
+    def harmonic(cls, d: int = 1) -> "QuadraticHamiltonian":
+        """a = pi (|x|^2 + |xi|^2): rotation of phase space at unit rate."""
         I = np.eye(d)
         Z = np.zeros((d, d))
-        return cls(2.0 * np.pi * angular * I, Z, 2.0 * np.pi * angular * I)
+        return cls(2.0 * np.pi * I, Z, 2.0 * np.pi * I)
 
 
 def hamiltonian_flow(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
@@ -499,19 +497,16 @@ def hamiltonian_flow(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
 # random test corpus
 
 
-def random_generator_chain_matrix(
-    rng: np.random.Generator, n: int, length: int | None = None
-) -> SymplecticMatrix:
-    """Product of bounded elementary matrices; the standing random test corpus.
+def random_generator_chain_matrix(rng: np.random.Generator, n: int) -> SymplecticMatrix:
+    """Product of 2 to 4 bounded elementary matrices; the standing random test corpus.
 
     Parameters are kept small (|C| <= 0.9, rescale factors in [2/3, 3/2], at
     most two rescales) so the corresponding metaplectic chains stay within the
     sampling guards of the desk-scale grids.
     """
-    length = int(rng.integers(2, 5)) if length is None else length
     M = np.eye(2 * n)
     n_rescale = 0
-    for _ in range(length):
+    for _ in range(int(rng.integers(2, 5))):
         kind = rng.choice(["J", "chirp", "rescale"])
         if kind == "rescale" and n_rescale >= 2:
             kind = "J"

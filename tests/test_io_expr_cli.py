@@ -293,6 +293,15 @@ def test_cli_evolve_check_tau_past_the_a13_chirp_guard(tmp_path, args):
     assert len(routes) == len(resid) and routes[-1] == "chain"
 
 
+def test_cli_evolve_check_tau_verdict(tmp_path):
+    # residuals 1e-15, 1e-2 and 0.92: a failed identity is reported, exit stays 0
+    rc = main(["evolve", "--n", "256", "--hamiltonian", "free", "--times", "0.1,0.3,1",
+               "--u0", "hermite:1", "--check-tau", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["transport_verified"] == [True, False, False]
+
+
 def test_cli_evolve_check_tau_irrational_grid(tmp_path):
     # N = 128 is self-dual with irrational L = sqrt(128)/2
     rc = main(["evolve", "--n", "128", "--times", "0.05", "--check-tau", "0.5",

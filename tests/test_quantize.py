@@ -96,6 +96,23 @@ def test_weyl_self_adjoint_for_real_symbol():
     assert op.max_nonhermitian() <= 1e-10
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("mask", [True, False])
+def test_weyl_peak_memory(sampled, mask):
+    # the half-step samples and their lag transform, 2 outputs each, at once
+    ax = default_grid(512).axes[0]
+    a = atilted_symbol(ax)
+    a = SymbolGrid.from_field(a.sample()) if sampled else a
+    weyl(a, ax, mask_wrap_lags=mask)
+    tracemalloc.start()
+    try:
+        M = weyl(a, ax, mask_wrap_lags=mask).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * M.nbytes, peak / M.nbytes
+
+
 def test_weyl_inverse_weyl_roundtrip():
     ax = default_grid(64).axes[0]
     a = atilted_symbol(ax)
@@ -266,9 +283,10 @@ def _guarded_calls():
     one = SymbolGrid.constant(1.0, ax)
     b = np.broadcast_to(np.complex128(1.0), (64,) * 4)
     wide = default_grid(2048).axes[0]
+    huge = default_grid(4096).axes[0]
     big = default_grid(128).axes[0]
     return {
-        "weyl": (384, lambda: weyl(SymbolGrid.constant(1.0, wide), wide)),
+        "weyl": (1024, lambda: weyl(SymbolGrid.constant(1.0, huge), huge)),
         "weyl_4d": (512, lambda: weyl_4d(b, axes)),
         "weyl_4d_apply": (512, lambda: weyl_4d_apply(b, axes, np.zeros((64, 64)))),
         "symbol_pullback": (512, lambda: symbol_pullback(tau_matrix(0.5), one, "b", axes)),

@@ -143,6 +143,7 @@ def test_evolved_wigner_free_particle(grid256, phi):
         for t in (0.02, 0.05, 0.1):
             res = evolved_wigner_check(FREE, tau, t, phi)
             assert res["residual"] <= 1e-5, (tau, t, res["residual"])
+            assert res["verified"]
 
 
 def test_evolved_wigner_harmonic(grid256, phi):
