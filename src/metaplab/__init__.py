@@ -73,6 +73,8 @@ from .wigner import (
     wigner_A,
     wigner_A_covariant,
     stft_reduction,
+    Representation,
+    represent,
     CohenKernel,
     cohen_convolve,
     modulation_norm,

@@ -62,7 +62,7 @@ from .symplectic import (
     SymplecticMatrix,
     standard_J,
 )
-from .wigner import stft, wigner_A, wigner_A_covariant
+from .wigner import represent
 
 __all__ = ["main"]
 
@@ -86,11 +86,13 @@ def _numbers(text, count, what, sep=",", allow_inf=False) -> list[float]:
     return vals
 
 
-def _read_matrix(path: str) -> SymplecticMatrix:
+def _read_matrix(path: str, side: int) -> SymplecticMatrix:
     try:
         M = matrix_from_json(Path(path).read_text())
     except (OSError, ValueError) as e:  # ValueError covers JSONDecodeError
         raise ValidationError(f"cannot read matrix file {path!r}: {e}") from e
+    if M.shape != (side, side):
+        raise ValidationError(f"matrix file {path!r} must hold a {side}x{side} matrix")
     return SymplecticMatrix(M)
 
 
@@ -125,19 +127,20 @@ def _parse_signal(spec: str, grid):
 
 
 def _parse_rep(spec: str):
+    """The representation spec `wigner.represent` takes for a --rep value."""
     name, _, arg = spec.partition(":")
     if name == "tau":
         (tau,) = _numbers(arg, 1, "tau wants one number")
         if not 0.0 <= tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-        return ("cov", CovariantForm.tau(tau))
+        return CovariantForm.tau(tau)
     if name == "stft":
-        return ("stft", None)
+        return "stft"
     if name == "cov":
         a11, a13, a21 = _numbers(arg, 3, "cov wants 'a11,a13,a21'")
-        return ("cov", CovariantForm(np.array([[a11]]), np.array([[a13]]), np.array([[a21]])))
+        return CovariantForm(np.array([[a11]]), np.array([[a13]]), np.array([[a21]]))
     if name == "matrix":
-        return ("matrix", _read_matrix(arg))
+        return _read_matrix(arg, 4)
     raise ValidationError(f"unknown representation {spec!r}")
 
 
@@ -193,24 +196,16 @@ def cmd_wigner(cfg: dict) -> int:
     """time-frequency field of a signal"""
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
-    kind, arg = _parse_rep(cfg["rep"])
-    window = gaussian(grid)
-    if kind == "stft":
-        F = stft(f, window)
-    elif kind == "cov":
-        F = wigner_A_covariant(arg, f, f)
-    else:
-        F = wigner_A(arg, f, f)
+    F, _, moyal_deviation = represent(_parse_rep(cfg["rep"]), f)
     out = _out_dir(cfg)
     save_field(out / "field", F)
     field_csv(out / "field.csv", F)
-    gnorm = window.norm() if kind == "stft" else f.norm()
     write_json(out / "meta.json", {
         "signal": cfg["signal"],
         "rep": cfg["rep"],
         "signal_norm": f.norm(),
         "field_norm": F.norm(),
-        "moyal_deviation": abs(F.norm() - f.norm() * gnorm),
+        "moyal_deviation": moyal_deviation,
         "max_abs": np.max(np.abs(F.values)),
     })
     return 0
@@ -247,6 +242,9 @@ def cmd_evolve(cfg: dict) -> int:
     times = _numbers(cfg["times"], None, "times wants 't1,t2,...'")
     if not times:
         raise ValidationError("times wants at least one time")
+    check_tau = cfg.get("check_tau")
+    if check_tau is not None and sigma is not None:
+        raise ValidationError("--check-tau needs a quadratic flow: drop --sigma")
     out = _out_dir(cfg)
     M = hamiltonian_matrix(H, ax)
     states = [u0.with_values(vals) for vals in _flow(M, u0.values, times)]
@@ -256,10 +254,9 @@ def cmd_evolve(cfg: dict) -> int:
     energies = [complex(np.vdot(u.values, M @ u.values) * ax.step) for u in states]
     write_csv(out / "conservation.csv", ("t", "norm", "energy_re", "energy_im"),
               (times, norms, [e.real for e in energies], [e.imag for e in energies]))
-    check_tau = cfg.get("check_tau")
     meta = {"hamiltonian": cfg["hamiltonian"], "times": times,
             "unitarity_max_dev": max(abs(nrm - u0.norm()) for nrm in norms)}
-    if check_tau is not None and sigma is None:
+    if check_tau is not None:
         checks = [evolved_wigner_check(quad, check_tau, t, u0) for t in times]
         write_csv(out / "transport_residuals.csv", ("t", "residual"),
                   (times, [c["residual"] for c in checks]))
@@ -282,7 +279,7 @@ def _parse_operator(cfg: dict, grid):
     if name == "weyl":
         return weyl(_symbol(arg, ax, "weyl symbol"), ax), np.eye(2)
     if name == "matrix":
-        chi = _read_matrix(arg)
+        chi = _read_matrix(arg, 2)
         return DenseOperator(dense_matrix(chi, ax), (ax,), "signal"), chi.mat
     raise ValidationError(f"unknown operator {spec!r}")
 
@@ -324,14 +321,7 @@ def cmd_wfs(cfg: dict) -> int:
     """wave front report"""
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
-    kind, arg = _parse_rep(cfg["rep"])
-    if kind == "cov":
-        rep = arg
-    elif kind == "stft":
-        rep = "stft_global"
-    else:
-        raise ValidationError("wfs supports tau:<t>, cov:<blocks>, or stft representations")
-    report = wavefront(f, rep=rep, n_bins=cfg["bins"], r0=cfg["r0"])
+    report = wavefront(f, rep=_parse_rep(cfg["rep"]), n_bins=cfg["bins"], r0=cfg["r0"])
     out = _out_dir(cfg)
     orders = np.array(report.orders, dtype=np.int64)
     write_csv(out / "cones.csv", ("angle_rad", "order", "integral"),
@@ -351,30 +341,14 @@ def cmd_wfs(cfg: dict) -> int:
     return 0
 
 
+_GRID_OUT = {"n": 256, "half_width": None, "out": "."}  # every command's last fields
 _DEFAULTS = {
-    "wigner": {"signal": "gaussian", "rep": "tau:0.5", "n": 256, "half_width": None, "out": "."},
-    "evolve": {
-        "hamiltonian": "free",
-        "sigma": None,
-        "times": "0.02,0.05,0.1",
-        "u0": "gaussian",
-        "check_tau": None,
-        "n": 256,
-        "half_width": None,
-        "out": ".",
-    },
-    "gaborscan": {
-        "operator": "fourier",
-        "window": "gaussian",
-        "lattice": "0.5,0.5,5",
-        "qs": "1:0,0.5:0,1:1",
-        "estimate_chi": False,
-        "n": 256,
-        "half_width": None,
-        "out": ".",
-    },
-    "wfs": {"signal": "gaussian", "rep": "tau:0.5", "bins": 64, "r0": 2.0, "n": 256,
-            "half_width": None, "out": "."},
+    "wigner": {"signal": "gaussian", "rep": "tau:0.5", **_GRID_OUT},
+    "evolve": {"hamiltonian": "free", "sigma": None, "times": "0.02,0.05,0.1",
+               "u0": "gaussian", "check_tau": None, **_GRID_OUT},
+    "gaborscan": {"operator": "fourier", "window": "gaussian", "lattice": "0.5,0.5,5",
+                  "qs": "1:0,0.5:0,1:1", "estimate_chi": False, **_GRID_OUT},
+    "wfs": {"signal": "gaussian", "rep": "tau:0.5", "bins": 64, "r0": 2.0, **_GRID_OUT},
 }
 
 # the fields that are not strings: type, the test each value must pass, and

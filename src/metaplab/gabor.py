@@ -114,14 +114,12 @@ class GaborMatrixData:
             raise FrameError("Gabor matrix shape must match the lattice size")
 
 
-def gabor_matrix(
-    T, g: GridSignal, lattice: GaborLattice, norm_estimate: float | None = None
-) -> GaborMatrixData:
+def gabor_matrix(T, g: GridSignal, lattice: GaborLattice) -> GaborMatrixData:
     """All pairwise entries <T pi(lam) g, pi(mu) g> over the truncated lattice."""
     pts, P = _atoms(g, lattice)
     T_mat = T.matrix if isinstance(T, DenseOperator) else np.asarray(T)
     M = g.grid.axes[0].step * (P.conj().T @ (T_mat @ P)).T
-    bound = norm_estimate if norm_estimate is not None else np.linalg.norm(T_mat, 2)
+    bound = np.linalg.norm(T_mat, 2)
     gnorm2 = g.norm() ** 2
     if np.max(np.abs(M)) > bound * gnorm2 * (1.0 + 1e-8):
         raise FrameError("Gabor matrix exceeds the operator-norm bound")
@@ -303,12 +301,11 @@ def metaplectic_factor(T, chi):
     and the report carries the reconstruction residuals; "verified" is False
     when either exceeds `_VERIFY_TOL`.
     """
-    chi = sympl(chi)
-    T_mat = T.matrix if isinstance(T, DenseOperator) else np.asarray(T)
-    n = T_mat.shape[0]
-    ax = T.axes[0] if isinstance(T, DenseOperator) else None
-    if ax is None:
+    if not isinstance(T, DenseOperator):
         raise GridError("metaplectic_factor needs a DenseOperator with axis metadata")
+    chi = sympl(chi)
+    T_mat = T.matrix
+    ax = T.axes[0]
     U = dense_matrix(chi, ax)
     Uinv = np.linalg.inv(U)
     sigma1 = inverse_weyl(DenseOperator(T_mat @ Uinv, (ax,), "signal"))

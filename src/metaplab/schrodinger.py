@@ -24,7 +24,6 @@ from .signals import (
     SamplingError,
     _compose_linear_2d,
     fourier,
-    gaussian,
     inverse_fourier,
     tf_shift,
 )
@@ -38,7 +37,7 @@ from .symplectic import (
     hamiltonian_flow,
     sympl,
 )
-from .wigner import stft, tau_wigner, wigner_A, wigner_A_covariant, wigner_cross
+from .wigner import represent, stft, tau_wigner, wigner_A_covariant, wigner_cross
 
 __all__ = [
     "Hamiltonian",
@@ -127,17 +126,13 @@ def propagate_perturbed(H: Hamiltonian, t: float, u0: GridSignal) -> GridSignal:
     return u0.with_values(_flow(hamiltonian_matrix(H, u0.grid.axes[0]), u0.values, (t,))[0])
 
 
-def perturbed_propagator_matrix(H: Hamiltonian, t: float, ax: Axis) -> np.ndarray:
-    return _flow(hamiltonian_matrix(H, ax), np.eye(ax.n), (t,))[0]
-
-
 def perturbation_symbol(H: Hamiltonian, t: float, ax: Axis) -> tuple[PhaseSpaceField, dict]:
     """Symbol b_t with exp(itH) = mu(chi_t) Op_w(b_t), plus a residual report.
 
     b_t soaks up the untracked phase of the chain realization of mu(chi_t),
     so at sigma = 0 it is a unimodular constant rather than exactly 1.
     """
-    U_t = perturbed_propagator_matrix(H, t, ax)
+    U_t = _flow(hamiltonian_matrix(H, ax), np.eye(ax.n), (t,))[0]
     chi = hamiltonian_flow(H.quad, t)
     M_chi = dense_matrix(chi, ax)
     rest = np.linalg.solve(M_chi, U_t)
@@ -175,17 +170,17 @@ def evolved_wigner_check(h: QuadraticHamiltonian, tau: float, t: float, u0: Grid
     B_t = evolve_cohen_B(cohen_B(CovariantForm.tau(tau)), chi)
     form_t = covariant_from_cohen_B(B_t)
     try:
-        W_t, route = wigner_A_covariant(form_t, u0, u0), "covariant"
+        W_t = represent(form_t, u0)
     except SamplingError:
         # the A13 multiplier aliases; the chain's steps can stay in band
-        W_t, route = wigner_A(form_t.matrix(), u0, u0), "chain"
-    rhs = compose_field_linear(W_t, chi.inv().mat)
+        W_t = represent(form_t.matrix(), u0)
+    rhs = compose_field_linear(W_t.field, chi.inv().mat)
     num = np.linalg.norm((lhs.values - rhs.values).ravel())
     residual = float(num / np.linalg.norm(lhs.values.ravel()))
     return {
         "residual": residual,
         "verified": residual <= _TRANSPORT_TOL,
-        "route": route,
+        "route": W_t.route,
         "flow": chi.mat,
         "evolved_form": form_t,
     }
@@ -274,16 +269,6 @@ class WaveFrontReport:
         return np.where(self.singular & ~self.inconclusive)[0]
 
 
-def _field_for_rep(f: GridSignal, rep):
-    if isinstance(rep, CovariantForm):
-        return wigner_A_covariant(rep, f, f)
-    if rep == "wigner":
-        return wigner_cross(f, f)
-    if rep == "stft_global":
-        return stft(f, gaussian(f.grid))
-    raise ValueError(f"unknown representation {rep!r}")
-
-
 def wavefront(f: GridSignal, rep="wigner", n_bins: int = 64, r0: float = 2.0) -> WaveFrontReport:
     """Directional tail-decay report of |W f|^2 (or the chosen representation).
 
@@ -298,9 +283,9 @@ def wavefront(f: GridSignal, rep="wigner", n_bins: int = 64, r0: float = 2.0) ->
     accumulate orders of magnitude more weighted tail mass at desk scale
     than any Schwartz signal pushed through a bounded flow).  Both the
     slopes and the raw integrals are reported: the rule is a fixed
-    convention, not truth.  `stft_global` uses the Gaussian window.
+    convention, not truth.  `rep` is any spec `wigner.represent` takes.
     """
-    F = _field_for_rep(f, rep)
+    F = represent(rep, f).field
     vals = np.abs(F.values) ** 2
     xs = F.x_axis.points()
     xis = F.xi_axis.points()

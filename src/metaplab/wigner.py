@@ -6,11 +6,13 @@ Each representation has two independent routes: a direct quadrature of its
 defining integral (shift-and-FFT based, phase-canonical) and the generator
 chain applied to f tensor conj(g).  The chain route carries one untracked
 global phase; the quadrature routes carry none, which the tests exploit.
+`represent` is the one place that chooses a route for a representation spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .signals import (
     chirp_phase,
     conjugate,
     field_fourier,
+    gaussian,
     shift_spectral,
     spectral_coefficients,
     tensor,
@@ -34,6 +37,7 @@ from .symplectic import (
     BlockDecomposition,
     CovariantForm,
     SymplecticError,
+    SymplecticMatrix,
     cohen_B,
     sympl,
 )
@@ -46,6 +50,8 @@ __all__ = [
     "wigner_A",
     "wigner_A_covariant",
     "stft_reduction",
+    "Representation",
+    "represent",
     "CohenKernel",
     "cohen_convolve",
     "modulation_norm",
@@ -203,6 +209,36 @@ def stft_reduction(A, f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     pref = np.sqrt(abs(np.linalg.det(L_mat))) / abs(a23)
     phase = _freq_phases(ax.points(), ax, a33 / a23)
     return PhaseSpaceField(ax, ax.dual(), pref * phase * V)
+
+
+class Representation(NamedTuple):
+    """A field, the route that computed it, and | ||field|| - ||f|| ||g|| |."""
+
+    field: PhaseSpaceField
+    route: str
+    moyal_deviation: float
+
+
+def represent(rep, f: GridSignal) -> Representation:
+    """The representation of f that `rep` names; no route falls back on another.
+
+    A `CovariantForm` takes the covariant quadrature, a symplectic matrix the
+    generator chain, "stft" the STFT with window g = gaussian and "wigner"
+    the cross-Wigner quadrature; g is f but for the STFT.
+    """
+    g = f
+    if isinstance(rep, CovariantForm):
+        F, route = wigner_A_covariant(rep, f, f), "covariant"
+    elif isinstance(rep, (SymplecticMatrix, np.ndarray)):
+        F, route = wigner_A(rep, f, f), "chain"
+    elif rep == "stft":
+        g = gaussian(f.grid)
+        F, route = stft(f, g), "stft"
+    elif rep == "wigner":
+        F, route = wigner_cross(f, f), "wigner"
+    else:
+        raise ValueError(f"unknown representation {rep!r}")
+    return Representation(F, route, abs(F.norm() - f.norm() * g.norm()))
 
 
 # ---------------------------------------------------------------------------

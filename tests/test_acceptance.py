@@ -352,7 +352,7 @@ def test_criterion_6_schrodinger_suite():
         widened = set()
         for b in wig:
             widened.update({(b + d) % n_bins for d in (-2, -1, 0, 1, 2)})
-        stft_bins = set(int(b) for b in wavefront(f, rep="stft_global").singular_bins())
+        stft_bins = set(int(b) for b in wavefront(f, rep="stft").singular_bins())
         ok_incl = ok_incl and stft_bins <= widened
     ok = ok_unit and ok_dual and ok_b and ok_kernel and ok_prop and ok_incl
     report(

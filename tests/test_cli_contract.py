@@ -59,6 +59,18 @@ def not_a_matrix(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    """Identity matrices of side 2 and 4: symplectic, but each is the wrong
+    size for one of --rep (4x4) and --operator (2x2)."""
+    root = tmp_path_factory.mktemp("sides")
+    paths = {}
+    for side in (2, 4):
+        paths[side] = root / f"eye{side}.json"
+        paths[side].write_text(json.dumps({"rows": np.eye(side).tolist()}))
+    return {f"eye{side}": str(path) for side, path in paths.items()}
+
+
 GABOR32 = ["gaborscan", "--n", "32", "--lattice", LATTICE32]
 
 # each of these raised or exited 0 with nan in its outputs before the CLI
@@ -66,6 +78,9 @@ GABOR32 = ["gaborscan", "--n", "32", "--lattice", LATTICE32]
 BAD_INPUTS = {
     "rep-matrix-list": ["wigner", "--n", "32", "--rep", "matrix:{matrix}"],
     "operator-matrix-list": GABOR32 + ["--operator", "matrix:{matrix}"],
+    "rep-matrix-2x2": ["wigner", "--n", "32", "--rep", "matrix:{eye2}"],
+    "wfs-rep-matrix-2x2": ["wfs", "--n", "32", "--rep", "matrix:{eye2}"],
+    "operator-matrix-4x4": GABOR32 + ["--operator", "matrix:{eye4}"],
     "bins-zero": ["wfs", "--n", "32", "--bins", "0"],
     "qs-zero": GABOR32 + ["--qs", "0:0"],
     "qs-nan": GABOR32 + ["--qs", "nan:0"],
@@ -80,8 +95,8 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_numbers_are_validation_errors(tmp_path, not_a_matrix, name, capsys):
-    argv = [a.format(matrix=not_a_matrix) for a in BAD_INPUTS[name]]
+def test_bad_numbers_are_validation_errors(tmp_path, not_a_matrix, matrix_files, name, capsys):
+    argv = [a.format(matrix=not_a_matrix, **matrix_files) for a in BAD_INPUTS[name]]
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "validation error" in capsys.readouterr().err
     assert nonfinite_outputs(tmp_path) == []

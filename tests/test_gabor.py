@@ -147,7 +147,7 @@ def test_envelope_quasinorm_and_weights(grid256, phi, lattice_half):
 
 def test_envelope_too_few_entries(grid256, phi):
     tiny = GaborLattice.separable(0.5, 0.5, 0.4)
-    data = gabor_matrix(np.zeros((256, 256)), phi, tiny, norm_estimate=1.0)
+    data = gabor_matrix(np.zeros((256, 256)), phi, tiny)
     with pytest.raises(FrameError):
         envelope_fit(data)
 

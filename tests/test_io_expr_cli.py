@@ -381,6 +381,27 @@ def test_cli_wfs(tmp_path):
     assert len(rep["inconclusive_bins"]) > 0
 
 
+def test_cli_wfs_matrix_rep(tmp_path):
+    # the tau = 1/2 matrix through the chain flags the same cones as tau:0.5
+    path = tmp_path / "tau.json"
+    path.write_text(matrix_to_json(tau_matrix(0.5)))
+    for signal, want in (("sign-gaussian", [15, 16, 47, 48]), ("gaussian", [])):
+        rc = main(["wfs", "--signal", signal, "--rep", f"matrix:{path}", "--out", str(tmp_path)])
+        assert rc == 0
+        rep = json.loads((tmp_path / "wavefront.json").read_text())
+        assert rep["singular_bins"] == want, signal
+
+
+def test_cli_evolve_check_tau_refuses_sigma(tmp_path, capsys):
+    # the transport check holds for quadratic flows only; it is refused, not dropped
+    rc = main(["evolve", "--n", "64", "--sigma", "0.3*exp(-(x^2+xi^2))",
+               "--check-tau", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--check-tau" in err and "--sigma" in err
+    assert not (tmp_path / "meta.json").exists()
+
+
 def test_cli_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

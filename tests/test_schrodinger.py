@@ -239,7 +239,7 @@ def test_wavefront_sign_gaussian_directions(grid256):
 
 def test_wavefront_stft_variant_and_inclusion(grid256):
     for f in (gaussian(grid256), sign_gaussian(grid256), two_bump(grid256)):
-        rep_g = wavefront(f, rep="stft_global")
+        rep_g = wavefront(f, rep="stft")
         rep_w = wavefront(f)
         wig = set(int(b) for b in rep_w.singular_bins())
         n = rep_w.params["n_bins"]
@@ -257,7 +257,7 @@ def test_wavefront_two_bump_interference(grid256):
     # more strongly than the spectrogram does
     f = two_bump(grid256, x0=5.0, xi0=5.0)
     rep_w = wavefront(f)
-    rep_g = wavefront(f, rep="stft_global")
+    rep_g = wavefront(f, rep="stft")
     n = rep_w.params["n_bins"]
     mid_bin = int((np.pi / 4) / (2 * np.pi / n))  # midpoint direction (1,1)
     ratio = rep_w.integrals[mid_bin, -1] / max(rep_g.integrals[mid_bin, -1], 1e-300)

@@ -1,5 +1,6 @@
 """Grid transforms against brute-force quadrature of the defining integrals."""
 
+import ast
 import os
 import re
 import subprocess
@@ -348,6 +349,20 @@ def test_only_signals_calls_the_fft():
         assert not re.search(r"\b(i?fftshift)\b", text), path.name
         if path.name != "signals.py":
             assert not re.search(r"\b(np\.fft|numpy\.fft|scipy\.fft)\b", text), path.name
+
+
+def test_one_representation_dispatcher():
+    # wigner.represent is the one place a representation spec picks a route
+    src = Path(__file__).resolve().parents[1] / "src" / "metaplab"
+    tree = ast.parse((src / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("wigner"):
+            assert [a.name for a in node.names] == ["represent"]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "wigner" not in [a.name.rsplit(".", 1)[-1] for a in node.names]
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "stft_global" not in text and "_field_for_rep" not in text, path.name
 
 
 def test_one_byte_budget_is_the_memory_guard():
