@@ -16,7 +16,7 @@ import numpy as np
 
 from .metaplectic import dense_matrix
 from .quantize import DenseOperator, SymbolGrid, inverse_weyl, weyl
-from .signals import Axis, GridError, GridSignal, tf_shift
+from .signals import Axis, GridError, GridSignal
 from .symplectic import SymplecticMatrix, sympl
 
 __all__ = [
@@ -84,11 +84,20 @@ class GaborLattice:
 
 
 def _atoms(g: GridSignal, lattice: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice points and the columns pi(lam) g, exact shifts of on-grid points."""
-    if not lattice.on_grid(g.grid.axes[0]):
+    """Lattice points and the columns pi(lam) g, exact shifts of on-grid points.
+
+    The columns are bit-equal to `tf_shift(g, lam).values`: one gather of g
+    and one phase column per distinct frequency.
+    """
+    ax = g.grid.axes[0]
+    if not lattice.on_grid(ax):
         raise FrameError("lattice points are not on the signal grid")
     pts = lattice.points()
-    return pts, np.stack([tf_shift(g, p).values for p in pts], axis=1)
+    steps = np.rint(pts[:, 0] / ax.step).astype(int)
+    rows = np.arange(ax.n)[:, None] - steps % ax.n  # np.roll of g; negative rows wrap
+    xi0, col = np.unique(pts[:, 1], return_inverse=True)  # one phase column per frequency
+    phase = np.exp(2j * np.pi * xi0 * ax.points()[:, None])
+    return pts, g.values[rows] * phase[:, col]
 
 
 def frame_bounds(g: GridSignal, lattice: GaborLattice) -> tuple[float, float]:
@@ -131,10 +140,12 @@ class EnvelopeReport:
     """Fitted off-graph decay of a Gabor matrix.
 
     `shells` maps integer offsets k to the maximum of |M| over the pairs with
-    mu - chi lam in the unit cell at k.  Norms are finite-section values over
-    the truncated lattice; `tail_estimate` extrapolates the discarded shells
-    geometrically, so no membership verdict about the infinite lattice is
-    implied.
+    mu - chi lam in the unit cell at k.  Its cells come in order of their
+    smallest entry (ties as `np.argsort` of the flattened |M| orders them);
+    that order is the summation order of `norms`, so it fixes their last
+    bits.  Norms are finite-section values over the truncated lattice;
+    `tail_estimate` extrapolates the discarded shells geometrically, so no
+    membership verdict about the infinite lattice is implied.
     """
 
     chi: np.ndarray
@@ -151,20 +162,38 @@ class EnvelopeReport:
         return radii, vals
 
 
-def _weighted_spread(chi: np.ndarray, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> float:
-    d = mu - lam @ chi.T
-    return float(np.sum(w * np.sum(d * d, axis=1)))
+def _pair_moments(M: np.ndarray, pts: np.ndarray, significant: np.ndarray):
+    """Moments A = sum w lam lam^T, Bm = sum w mu lam^T, c = sum w |mu|^2, w = |M|^2.
 
-
-def _estimate_chi(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least squares fit projected to SL(2), then Iwasawa descent.
-
-    Minimizes the weighted second moment of mu - chi lam; coordinate descent
-    refines the rotation / dilation / shear parameters under the exact
-    det = 1 constraint.  No global optimality is claimed.
+    The sums run over the significant pairs [lam, mu] in row-major order; the
+    pair-sized arrays live only inside this call.
     """
+    lam = np.repeat(pts, np.count_nonzero(significant, axis=1), axis=0)
+    cols = np.flatnonzero(significant)
+    cols %= len(pts)
+    mu = pts[cols]
+    del cols
+    w = M[significant]
+    w *= w
     A = (lam * w[:, None]).T @ lam
     Bm = (mu * w[:, None]).T @ lam
+    c = float(w @ np.einsum("ij,ij->i", mu, mu))
+    return A, Bm, c
+
+
+def _spread(chi: np.ndarray, A: np.ndarray, Bm: np.ndarray, c: float) -> float:
+    """sum w |mu - chi lam|^2 = c - 2 tr(chi Bm^T) + tr(chi^T chi A) from the moments."""
+    return float(c - 2.0 * np.sum(chi * Bm) + np.sum((chi.T @ chi) * A.T))
+
+
+def _estimate_chi(A: np.ndarray, Bm: np.ndarray, c: float) -> np.ndarray:
+    """Weighted least squares fit projected to SL(2), then Iwasawa descent.
+
+    Minimizes the weighted second moment of mu - chi lam, given by the
+    `_pair_moments`; coordinate descent refines the rotation / dilation /
+    shear parameters under the exact det = 1 constraint.  No global
+    optimality is claimed.
+    """
     try:
         chi0 = Bm @ np.linalg.inv(A)
     except np.linalg.LinAlgError:
@@ -190,14 +219,14 @@ def _estimate_chi(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     u = float(R[0, 1] / max(R[0, 0], 1e-12))
     params = [theta, a, u]
     steps = [0.1, 0.1, 0.1]
-    best = _weighted_spread(from_params(*params), lam, mu, w)
+    best = _spread(from_params(*params), A, Bm, c)
     for _ in range(40):
         improved = False
         for i in range(3):
             for sign in (+1, -1):
                 trial = list(params)
                 trial[i] += sign * steps[i]
-                val = _weighted_spread(from_params(*trial), lam, mu, w)
+                val = _spread(from_params(*trial), A, Bm, c)
                 if val < best:
                     best, params, improved = val, trial, True
         if not improved:
@@ -221,6 +250,45 @@ def decay_slope(radii: np.ndarray, values: np.ndarray) -> float:
     return float(coeffs[0])
 
 
+def _shell_maxima(M: np.ndarray, pts: np.ndarray, chi_mat: np.ndarray):
+    """Integer cells k = round(mu - chi lam) and the maximum of |M| over each.
+
+    Cells come in order of their smallest entry under `np.argsort` of the
+    flattened M, as `EnvelopeReport.shells` lists them.  Each pair carries
+    one unsigned cell key; one stable sort of the keys taken in that entry
+    order groups the cells, and the first and last position of each group
+    give the cell's place and its maximum.
+    """
+    lamchi = pts[:, None, :] @ chi_mat.T  # chi lam, (n, 1, 2)
+    cx = pts[None, :, 0] - lamchi[:, :, 0]  # [lam, mu]
+    cy = pts[None, :, 1] - lamchi[:, :, 1]
+    np.rint(cx, out=cx)
+    np.rint(cy, out=cy)
+    lo_x, lo_y = cx.min(), cy.min()
+    nx, ny = cx.max() - lo_x + 1, cy.max() - lo_y + 1
+    if not nx * ny <= 2.0 ** 53:  # also catches a non-finite chi
+        raise FrameError("offsets mu - chi lam too large to key their cells exactly")
+    cx -= lo_x
+    cx *= ny
+    cy -= lo_y
+    cx += cy
+    del cy
+    key = cx.astype(np.min_scalar_type(int(nx * ny) - 1)).reshape(-1)
+    del cx
+    flat_M = M.reshape(-1)
+    order = np.argsort(flat_M)
+    key = key[order]  # ascending |M|
+    by_cell = np.argsort(key, kind="stable")  # positions in `order`, ascending per cell
+    key = key[by_cell]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = by_cell[starts]
+    last = by_cell[np.append(starts[1:], key.size) - 1]
+    seq = np.argsort(first)
+    cells = key[starts[seq]].astype(np.int64)
+    ks = np.stack([cells // int(ny) + int(lo_x), cells % int(ny) + int(lo_y)], axis=1)
+    return ks, flat_M[order[last[seq]]]
+
+
 def envelope_fit(
     data: GaborMatrixData,
     chi: SymplecticMatrix | np.ndarray | None = None,
@@ -230,7 +298,8 @@ def envelope_fit(
 
     With `chi` given the report is purely descriptive; otherwise chi is
     estimated from the matrix itself by minimizing the weighted spread of the
-    offsets over SL(2).  For q < 1 the norms are the formal quasi-norm sums.
+    offsets over SL(2).  For q < 1 the norms are the formal quasi-norm sums,
+    summed over the shells in their `EnvelopeReport` order.
     """
     M = np.abs(data.entries)
     pts = data.points
@@ -239,24 +308,13 @@ def envelope_fit(
         raise FrameError("too few significant entries to fit an envelope")
     estimated = chi is None
     if estimated:
-        idx = np.argwhere(significant)
-        lam = pts[idx[:, 0]]
-        mu = pts[idx[:, 1]]
-        w = (M[idx[:, 0], idx[:, 1]]) ** 2
-        chi_mat = _estimate_chi(lam, mu, w)
+        chi_mat = _estimate_chi(*_pair_moments(M, pts, significant))
     else:
         chi_mat = chi.mat if isinstance(chi, SymplecticMatrix) else np.asarray(chi)
-    offs = pts[None, :, :] - pts[:, None, :] @ chi_mat.T  # mu - chi lam, [lam, mu]
-    cells = np.round(offs).astype(int)
-    shells: dict = {}
-    flat_cells = cells.reshape(-1, 2)
-    flat_M = M.reshape(-1)
-    order = np.argsort(flat_M)
-    for i in order:  # ascending: the last write per cell is its maximum
-        shells[(int(flat_cells[i, 0]), int(flat_cells[i, 1]))] = float(flat_M[i])
+    del significant
+    ks, vals = _shell_maxima(M, pts, chi_mat)
+    shells = dict(zip(map(tuple, ks.tolist()), vals.tolist()))
     norms = {}
-    ks = np.array(list(shells.keys()))
-    vals = np.array([shells[tuple(k)] for k in ks])
     vs = 1.0 + np.sum(ks * ks, axis=1)
     for q, s in qs:
         weights = vs ** (s / 2.0)

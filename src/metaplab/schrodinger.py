@@ -285,7 +285,8 @@ def wavefront(f: GridSignal, rep="wigner", n_bins: int = 64, r0: float = 2.0) ->
     slopes and the raw integrals are reported: the rule is a fixed
     convention, not truth.  `rep` is any spec `wigner.represent` takes.
     """
-    F = represent(rep, f).field
+    rep_out = represent(rep, f)
+    F = rep_out.field
     vals = np.abs(F.values) ** 2
     xs = F.x_axis.points()
     xis = F.xi_axis.points()
@@ -331,7 +332,7 @@ def wavefront(f: GridSignal, rep="wigner", n_bins: int = 64, r0: float = 2.0) ->
         singular=singular,
         inconclusive=inconclusive,
         params={"r0": r0, "n_bins": n_bins, "r_max": r_max, "decades": decades,
-                "rep": repr(rep)},
+                "route": rep_out.route, "moyal_deviation": rep_out.moyal_deviation},
     )
 
 

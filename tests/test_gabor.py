@@ -1,11 +1,17 @@
 """Gabor frames, matrix decay envelopes, and the operator factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from metaplab.gabor import (
     FrameError,
     GaborLattice,
+    _atoms,
+    _pair_moments,
+    _spread,
+    decay_slope,
     envelope_fit,
     frame_bounds,
     gabor_matrix,
@@ -13,7 +19,7 @@ from metaplab.gabor import (
 )
 from metaplab.metaplectic import dense_matrix
 from metaplab.quantize import DenseOperator, SymbolGrid, weyl
-from metaplab.signals import GridSignal, default_grid, phase_align
+from metaplab.signals import GridSignal, default_grid, gaussian, phase_align, tf_shift
 from metaplab.symplectic import SymplecticMatrix, V_C, standard_J
 
 
@@ -150,6 +156,114 @@ def test_envelope_too_few_entries(grid256, phi):
     data = gabor_matrix(np.zeros((256, 256)), phi, tiny)
     with pytest.raises(FrameError):
         envelope_fit(data)
+
+
+def test_envelope_refuses_unkeyable_chi(grid256, phi):
+    # a non-finite chi, or one whose offsets pass exact float keys, has no cells
+    lattice = GaborLattice.separable(0.5, 0.5, 2.0)
+    data = gabor_matrix(np.eye(256), phi, lattice)
+    big = 1e9
+    for chi in (np.full((2, 2), np.nan), np.array([[big, big], [big, big + 1.0 / big]])):
+        with pytest.raises(FrameError):
+            envelope_fit(data, chi=chi)
+
+
+def _reference_envelope(data, chi_mat, qs):
+    """The per-entry pass envelope_fit vectorizes: shells, norms, slope, tail."""
+    M = np.abs(data.entries)
+    pts = data.points
+    offs = pts[None, :, :] - pts[:, None, :] @ chi_mat.T  # mu - chi lam, [lam, mu]
+    cells = np.round(offs).astype(int)
+    shells = {}
+    flat_cells = cells.reshape(-1, 2)
+    flat_M = M.reshape(-1)
+    for i in np.argsort(flat_M):  # ascending: the last write per cell is its maximum
+        shells[(int(flat_cells[i, 0]), int(flat_cells[i, 1]))] = float(flat_M[i])
+    ks = np.array(list(shells.keys()))
+    vals = np.array([shells[tuple(k)] for k in ks])
+    vs = 1.0 + np.sum(ks * ks, axis=1)
+    norms = {(q, s): float(np.sum((vals * vs ** (s / 2.0)) ** q) ** (1.0 / q)) for q, s in qs}
+    radii = np.max(np.abs(ks), axis=1)
+    slope = decay_slope(radii, vals)
+    r_edge = int(np.max(radii))
+    edge_val = float(np.max(vals[radii == r_edge]))
+    ratio = np.exp(slope) if slope < 0 else 1.0
+    tail = float("inf")
+    if ratio < 1.0:
+        tail = sum(edge_val * ratio ** (r - r_edge) * 8 * r for r in range(r_edge + 1, r_edge + 40))
+    return shells, norms, slope, float(tail)
+
+
+def _deck_operator(name, ax):
+    if name == "fourier":
+        J = SymplecticMatrix(standard_J(1))
+        return DenseOperator(dense_matrix(J, ax), (ax,), "signal"), J.mat
+    if name == "identity":
+        return DenseOperator(np.eye(ax.n), (ax,), "signal"), np.eye(2)
+    a = SymbolGrid.from_function(lambda x, xi: np.exp(-(x ** 2 + xi ** 2)), ax)
+    return weyl(a, ax), np.eye(2)
+
+
+@pytest.mark.parametrize("estimate", [False, True], ids=["chi-given", "chi-estimated"])
+@pytest.mark.parametrize("operator", ["fourier", "identity", "weyl"])
+@pytest.mark.parametrize("n", [128, 256])
+def test_envelope_fit_matches_per_entry_reference(n, operator, estimate):
+    grid = default_grid(n)
+    ax = grid.axes[0]
+    spacing = ax.step * (8 if n == 256 else 6)
+    lattice = GaborLattice.separable(spacing, spacing, 4.0)
+    T, chi = _deck_operator(operator, ax)
+    data = gabor_matrix(T, gaussian(grid), lattice)
+    qs = ((1.0, 0.0), (0.5, 0.0), (1.0, 1.0))
+    rep = envelope_fit(data, chi=None if estimate else chi, qs=qs)
+    shells, norms, slope, tail = _reference_envelope(data, rep.chi, qs)
+    assert list(rep.shells.items()) == list(shells.items())  # key order included
+    assert rep.norms == norms
+    assert rep.slope == slope
+    assert rep.tail_estimate == tail
+
+
+def test_spread_moments_match_direct_sum():
+    rng = np.random.default_rng(7)
+    n = 60
+    pts = rng.normal(size=(n, 2)) * 3.0
+    M = rng.random((n, n))
+    significant = rng.random((n, n)) < 0.7
+    idx = np.argwhere(significant)
+    lam, mu = pts[idx[:, 0]], pts[idx[:, 1]]
+    w = M[significant] ** 2
+    moments = _pair_moments(M, pts, significant)
+    for _ in range(5):
+        chi = rng.normal(size=(2, 2))
+        d = mu - lam @ chi.T
+        direct = float(np.sum(w * np.sum(d * d, axis=1)))
+        assert abs(_spread(chi, *moments) - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("estimate, ceiling", [(False, 3.6), (True, 5.0)])
+def test_envelope_fit_peak_memory(grid256, phi, lattice_half, estimate, ceiling):
+    # traced peak of envelope_fit alone, in multiples of the Gabor matrix itself
+    ax = grid256.axes[0]
+    J = SymplecticMatrix(standard_J(1))
+    data = gabor_matrix(DenseOperator(dense_matrix(J, ax), (ax,), "signal"), phi, lattice_half)
+    tracemalloc.start()
+    try:
+        envelope_fit(data, chi=None if estimate else J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling * data.entries.nbytes
+
+
+@pytest.mark.parametrize("n, steps, radius", [(64, 8, 6.0), (128, 6, 3.0), (256, 8, 7.75)])
+def test_atoms_equal_tf_shift_columns(n, steps, radius):
+    # a complex random window; at n = 64 the shifts pass the grid's half width
+    grid = default_grid(n)
+    g = GridSignal(grid, np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j])
+    spacing = steps * grid.axes[0].step
+    lattice = GaborLattice.separable(spacing, spacing, radius)
+    pts, P = _atoms(g, lattice)
+    assert np.array_equal(P, np.stack([tf_shift(g, p).values for p in pts], axis=1))
 
 
 def test_composition_envelope_bound(grid256, phi, lattice_half):

@@ -392,6 +392,21 @@ def test_cli_wfs_matrix_rep(tmp_path):
         assert rep["singular_bins"] == want, signal
 
 
+def test_cli_wfs_params_name_the_route(tmp_path):
+    # params carry represent's route and Moyal deviation, never a Python repr
+    path = tmp_path / "tau.json"
+    path.write_text(matrix_to_json(tau_matrix(0.5)))
+    for rep, route in (("cov:0.3,0.2,-0.1", "covariant"), (f"matrix:{path}", "chain"),
+                       ("stft", "stft")):
+        assert main(["wfs", "--n", "64", "--rep", rep, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "wavefront.json").read_text()
+        assert "array(" not in text and "CovariantForm" not in text, rep
+        params = json.loads(text)["params"]
+        assert "rep" not in params
+        assert params["route"] == route
+        assert 0.0 <= params["moyal_deviation"] < 1e-6, rep
+
+
 def test_cli_evolve_check_tau_refuses_sigma(tmp_path, capsys):
     # the transport check holds for quadratic flows only; it is refused, not dropped
     rc = main(["evolve", "--n", "64", "--sigma", "0.3*exp(-(x^2+xi^2))",
