@@ -196,13 +196,14 @@ def cmd_wigner(cfg: dict) -> int:
     """time-frequency field of a signal"""
     grid = _grid_from(cfg)
     f = _parse_signal(cfg["signal"], grid)
-    F, _, moyal_deviation = represent(_parse_rep(cfg["rep"]), f)
+    F, route, moyal_deviation = represent(_parse_rep(cfg["rep"]), f)
     out = _out_dir(cfg)
     save_field(out / "field", F)
     field_csv(out / "field.csv", F)
     write_json(out / "meta.json", {
         "signal": cfg["signal"],
         "rep": cfg["rep"],
+        "route": route,
         "signal_norm": f.norm(),
         "field_norm": F.norm(),
         "moyal_deviation": moyal_deviation,

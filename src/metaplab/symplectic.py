@@ -39,6 +39,8 @@ DEFAULT_TOL = 1.0e-10
 COND_BOUND = 1.0e8
 # chirp dictionary for the free-factorization search
 _CHIRP_DICT = (0.0, 1.0, -1.0, 0.5, -0.5)
+# Taylor terms of the matrix exponential behind hamiltonian_flow
+_TAYLOR_TERMS = 18
 
 
 class SymplecticError(ValueError):
@@ -485,12 +487,31 @@ class QuadraticHamiltonian:
         return cls(2.0 * np.pi * I, Z, 2.0 * np.pi * I)
 
 
+def _expm(G: np.ndarray) -> np.ndarray:
+    """exp(G) by scaling and squaring a Taylor series (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005).
+
+    G is scaled by 2^-s to ||X||_1 <= 1/2, where the terms past
+    _TAYLOR_TERMS add less than 0.5^18 / 19! ~ 3e-23 relative to exp(X) - I.
+    The series sums to S = exp(X) - I, smallest terms first, and squares as
+    S -> 2S + S^2, so the identity is added once and rounds once. The
+    products are numpy's: scipy.linalg.expm would call scipy's own OpenBLAS,
+    whose thread pool competes with numpy's for the same CPUs.
+    """
+    s = max(0, int(np.frexp(np.linalg.norm(G, 1))[1]) + 1)
+    X = np.ldexp(G, -s)
+    terms = [X]
+    for k in range(2, _TAYLOR_TERMS + 1):
+        terms.append(terms[-1] @ X / k)
+    S = sum(reversed(terms))
+    for _ in range(s):
+        S = 2.0 * S + S @ S
+    return np.eye(len(G)) + S
+
+
 def hamiltonian_flow(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
     """Classical flow chi_t = expm(t G / 2pi); always lands in Sp(d, R)."""
-    from scipy.linalg import expm  # here, so that importing metaplab skips scipy.linalg
-
-    M = expm((t / (2.0 * np.pi)) * h.generator())
-    return SymplecticMatrix(M, 1e-8)
+    return SymplecticMatrix(_expm((t / (2.0 * np.pi)) * h.generator()), 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_huge_grid_is_a_numeric_guard(tmp_path, command, capsys):
     assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
+def test_check_tau_propagation_guard_exits_3(tmp_path, capsys):
+    # the flow's chirp aliases in propagate_quadratic before the transport
+    # check runs; no input found so far makes propagation pass and both
+    # transport routes fail, so "no route in band" has no test of its own
+    code = run(["evolve", "--n", "64", "--times", "3", "--hamiltonian", "quad:3,0.5,1",
+                "--check-tau", "0.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "chirp aliases" in err and "edge frequency 4.772 exceeds Nyquist 4" in err
+    assert "Traceback" not in err
+    assert nonfinite_outputs(tmp_path) == []
+
+
 # config values for the fuzz, as (valid, bad): bad ones are out of range,
 # non-finite or of the wrong type; N stays at 16 or 32, so every run is small
 SIGNALS = (["gaussian", "hermite:2", "two-bump:1,1", "sign-gaussian"],

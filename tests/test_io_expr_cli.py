@@ -407,6 +407,16 @@ def test_cli_wfs_params_name_the_route(tmp_path):
         assert 0.0 <= params["moyal_deviation"] < 1e-6, rep
 
 
+def test_cli_wigner_meta_names_the_route(tmp_path):
+    path = tmp_path / "tau.json"
+    path.write_text(matrix_to_json(tau_matrix(0.5)))
+    for rep, route in (("tau:0.5", "covariant"), ("cov:0.3,0.2,-0.1", "covariant"),
+                       ("stft", "stft"), (f"matrix:{path}", "chain")):
+        assert main(["wigner", "--n", "64", "--rep", rep, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["rep"] == rep and meta["route"] == route
+
+
 def test_cli_evolve_check_tau_refuses_sigma(tmp_path, capsys):
     # the transport check holds for quadratic flows only; it is refused, not dropped
     rc = main(["evolve", "--n", "64", "--sigma", "0.3*exp(-(x^2+xi^2))",

@@ -263,12 +263,43 @@ def test_freq_phases_matches_the_dense_table(n, scale):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg (expm) is imported by its one caller, hamiltonian_flow
+    # importing the package loads scipy.fft only; no library module uses scipy.linalg
     code = "import sys, metaplab; print('scipy.linalg' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_check_tau_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # one BLAS per process: scipy's bundled OpenBLAS keeps its own thread
+    # pool, which competes with numpy's for the CPUs once anything calls it;
+    # evolve --check-tau runs hamiltonian_flow and the transport check
+    argv = ["evolve", "--n", "64", "--times", "0.05", "--check-tau", "0.5",
+            "--out", str(tmp_path)]
+    code = ("import sys; from metaplab import cli; "
+            f"rc = cli.main({argv!r}); print(rc, 'scipy.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+
+
+def test_scipy_fft_is_the_only_scipy_import():
+    src = Path(__file__).resolve().parents[1] / "src" / "metaplab"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "scipy":
+                    assert name == "scipy.fft", (path.name, name)
 
 
 def test_max_workers_is_capped_at_the_cpu_count(monkeypatch):

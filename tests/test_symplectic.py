@@ -215,6 +215,22 @@ def test_hamiltonian_flow_group_law(rng):
         assert is_symplectic(rhs, 1e-10)
 
 
+def test_hamiltonian_flow_matches_scipy_expm():
+    # scipy.linalg is the oracle here only; the library's exponential is its own
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(23)
+    for d in (1, 2):
+        for _ in range(20):
+            A, B, C = rng.normal(size=(3, d, d))
+            h = QuadraticHamiltonian(A + A.T, B, C + C.T)
+            for t in (0.01, 0.05, 0.3, 1.0, 3.0):
+                want = expm((t / (2.0 * np.pi)) * h.generator())
+                got = hamiltonian_flow(h, t).mat
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (d, t)
+        assert np.array_equal(hamiltonian_flow(h, 0.0).mat, np.eye(2 * d))
+
+
 def test_quadratic_hamiltonian_validation():
     with pytest.raises(SymplecticError):
         QuadraticHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.zeros((2, 2)))
