@@ -310,9 +310,12 @@ def generator_decompose(A, axes: tuple[Axis, ...] | None = None) -> GeneratorCha
     inverted.  A candidate that misses A by more than 1e-8 is skipped.
     Without `axes` the first exact chain wins.  With `axes` the first exact
     chain whose chirps stay below that grid's aliasing guard wins, else the
-    exact chain of least sampling stress.
+    exact chain of least sampling stress; `axes` must hold one axis per
+    variable of A (`GridError`).
     """
     A = sympl(A)
+    if axes is not None and len(axes) != A.n:
+        raise GridError(f"matrix acts on {A.n} variables but data has {len(axes)} axes")
     best = None
     best_stress = np.inf
     for chain in _candidate_chains(A):
@@ -383,28 +386,31 @@ def conv_chirp(C, obj, path: str = "multiplier"):
     return obj.with_values(_dft(prod, axes, inverse=True) / np.sqrt(abs(det)))
 
 
-def apply_generator(gen: Generator, obj):
-    """Realize one chain element on a signal or field."""
-    axes = _axes_of(obj)
-    if gen.tag in ("fourier", "convchirp"):
-        _require_self_dual(axes)
-    if gen.tag == "ft2" and not isinstance(obj, PhaseSpaceField):
-        raise GridError("ft2 acts on phase-space fields")
-    return obj.with_values(_realize(gen, obj.values, axes))
-
-
 def _require_self_dual(axes: tuple[Axis, ...]) -> None:
     if not all(ax.is_self_dual for ax in axes):
         raise GridError("metaplectic application needs self-dual axes")
 
 
-def _check_dims(A: SymplecticMatrix, obj) -> None:
-    axes = _axes_of(obj)
-    if A.n != len(axes):
-        raise GridError(
-            f"matrix acts on {A.n} variables but data has {len(axes)} axes"
-        )
+def _run_chain(gens: tuple[Generator, ...], values: np.ndarray, axes: tuple[Axis, ...],
+               on_field: bool) -> np.ndarray:
+    """The one route from generators to samples: the product applied right to left.
+
+    The grid guards are checked once, before any step runs: every step needs
+    self-dual axes, and a partial Fourier step needs a phase-space field.
+    Trailing axes of `values` past the grid `axes` are a batch.
+    """
     _require_self_dual(axes)
+    if not on_field and any(gen.tag == "ft2" for gen in gens):
+        raise GridError("ft2 acts on phase-space fields")
+    for gen in reversed(gens):
+        values = _realize(gen, values, axes)
+    return values
+
+
+def apply_generator(gen: Generator, obj):
+    """Realize one chain element on a signal or field."""
+    return obj.with_values(
+        _run_chain((gen,), obj.values, _axes_of(obj), isinstance(obj, PhaseSpaceField)))
 
 
 def apply(A, obj):
@@ -413,12 +419,10 @@ def apply(A, obj):
     Defined up to one global unimodular constant; norm is preserved within
     the interpolation tolerance of the rescaling steps.
     """
-    A = sympl(A)
-    _check_dims(A, obj)
-    out = obj
-    for gen in reversed(generator_decompose(A, _axes_of(obj)).generators):
-        out = apply_generator(gen, out)
-    return out
+    axes = _axes_of(obj)
+    gens = generator_decompose(A, axes).generators
+    return obj.with_values(
+        _run_chain(gens, obj.values, axes, isinstance(obj, PhaseSpaceField)))
 
 
 def apply_free_quadrature(A, obj):
@@ -429,14 +433,16 @@ def apply_free_quadrature(A, obj):
     the phase convention that reduces to the plain transform at A = J.
     """
     A = sympl(A)
-    _check_dims(A, obj)
+    axes = _axes_of(obj)
+    if A.n != len(axes):
+        raise GridError(f"matrix acts on {A.n} variables but data has {len(axes)} axes")
+    _require_self_dual(axes)
     n = A.n
     M = A.mat
     Ab, Bb, Db = M[:n, :n], M[:n, n:], M[n:, n:]
     if not A.is_free():
         raise SymplecticError("free quadrature needs an invertible B block")
     Binv = np.linalg.inv(Bb)
-    axes = _axes_of(obj)
     if isinstance(obj, GridSignal) and obj.grid.dim == 1:
         # the N x N kernel, its phase and their sum are live together
         _check_bytes(f"free quadrature at N = {axes[0].n}", 3 * 16 * axes[0].n ** 2)
@@ -504,10 +510,5 @@ def random_applicable_matrix(
 
 def dense_matrix(A, axis: Axis) -> np.ndarray:
     """Materialize mu(A) on 1-D signals as its N x N matrix (plain matvec)."""
-    A = sympl(A)
-    if A.n != 1:
-        raise GridError("dense_matrix materializes signal-side operators")
-    out = np.eye(axis.n, dtype=np.complex128)
-    for gen in reversed(generator_decompose(A, (axis,)).generators):
-        out = _realize(gen, out, (axis,))
-    return out
+    gens = generator_decompose(A, (axis,)).generators
+    return _run_chain(gens, np.eye(axis.n, dtype=np.complex128), (axis,), on_field=False)

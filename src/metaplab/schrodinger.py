@@ -22,9 +22,9 @@ from .signals import (
     GridSignal,
     PhaseSpaceField,
     SamplingError,
-    _compose_linear_2d,
     fourier,
     inverse_fourier,
+    rescale,
     tf_shift,
 )
 from .symplectic import (
@@ -51,7 +51,6 @@ __all__ = [
     "wigner_kernel_check",
     "wavefront",
     "wavefront_propagation_check",
-    "compose_field_linear",
 ]
 
 _HERMITIAN_TOL = 1e-8  # relative Hermitian defect hamiltonian_matrix accepts
@@ -146,18 +145,13 @@ def perturbation_symbol(H: Hamiltonian, t: float, ax: Axis) -> tuple[PhaseSpaceF
     return b_t, report
 
 
-def compose_field_linear(F: PhaseSpaceField, M: np.ndarray) -> PhaseSpaceField:
-    """Samples of F(M z) by exact shear/scale steps (no amplitude factor)."""
-    vals = _compose_linear_2d(F.values, (F.x_axis, F.xi_axis), np.asarray(M, dtype=float))
-    return F.with_values(vals)
-
-
 def evolved_wigner_check(h: QuadraticHamiltonian, tau: float, t: float, u0: GridSignal) -> dict:
     """Residual of the transported-representation identity, with its verdict.
 
     Checks W_tau(u(t))(z) = W_{A_t} u0 (chi_t^{-1} z) with A_t the covariant
     matrix carried along the flow; the right side is composed with
-    chi_t^{-1} by band-limited evaluation.  W_{A_t} u0 comes from the
+    chi_t^{-1} by `rescale` (sqrt|det| = 1), so a chi_t^{-1} past the
+    conditioning bound raises `GridError`.  W_{A_t} u0 comes from the
     phase-free covariant quadrature when its chirps stay in band ("route":
     "covariant"), else from the generator chain of A_t ("route": "chain"),
     whose global unimodular constant is not aligned away: it sits at 1 to
@@ -165,7 +159,7 @@ def evolved_wigner_check(h: QuadraticHamiltonian, tau: float, t: float, u0: Grid
     residual is at most `_TRANSPORT_TOL`; a NaN residual is not verified.
     """
     chi = hamiltonian_flow(h, t)
-    u_t = propagate_quadratic(h, t, u0)
+    u_t = apply(chi, u0)
     lhs = tau_wigner(u_t, u_t, tau)
     B_t = evolve_cohen_B(cohen_B(CovariantForm.tau(tau)), chi)
     form_t = covariant_from_cohen_B(B_t)
@@ -174,7 +168,7 @@ def evolved_wigner_check(h: QuadraticHamiltonian, tau: float, t: float, u0: Grid
     except SamplingError:
         # the A13 multiplier aliases; the chain's steps can stay in band
         W_t = represent(form_t.matrix(), u0)
-    rhs = compose_field_linear(W_t.field, chi.inv().mat)
+    rhs = rescale(W_t.field, chi.inv().mat)
     num = np.linalg.norm((lhs.values - rhs.values).ravel())
     residual = float(num / np.linalg.norm(lhs.values.ravel()))
     return {

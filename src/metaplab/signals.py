@@ -17,7 +17,9 @@ Guards: each refusal is decided in one function.  The CLI exits 3 on
   `_GUARD_SLACK`; `chirp_guard` raises `SamplingError` (exit 3), and the
   chain search in `metaplectic` ranks its candidates by the same ratios;
 - conditioning: `symplectic._invertible`; `GridError` for rescales (exit 3),
-  `SymplecticError` for free factorizations (exit 2);
+  the transport composition `F(chi_t^{-1} z)` of
+  `schrodinger.evolved_wigner_check` included, and `SymplecticError` for
+  free factorizations (exit 2);
 - size: `_check_bytes`, an estimate from the shapes against `_BYTE_BUDGET`
   before anything is allocated; `GridError` (exit 3);
 - membership: `symplectic.is_symplectic` tests A and -J A^T J, so `inv()`
@@ -492,6 +494,7 @@ def _compose_linear_2d(values: np.ndarray, axes, M: np.ndarray) -> np.ndarray:
     plans = _lu_step_plans(M)
     if not plans:
         # column pivot through the coordinate swap S: F(Mz) = (F o S)(S M z)
+        # recurses once: M passed `_invertible`, so with a and d both tiny c is not
         if axes[0].n != axes[1].n:
             raise GridError("axis swap needs equal axis sizes")
         G = np.ascontiguousarray(values.T)

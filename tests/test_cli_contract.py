@@ -2,6 +2,8 @@
 numeric guard, and never an exception."""
 
 import json
+import re
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -152,6 +154,47 @@ def test_check_tau_propagation_guard_exits_3(tmp_path, capsys):
     assert code == 3
     assert "chirp aliases" in err and "edge frequency 4.772 exceeds Nyquist 4" in err
     assert "Traceback" not in err
+    assert nonfinite_outputs(tmp_path) == []
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The `metaplab ...` lines of README's CLI `sh` block, split into argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("metaplab ")]
+    assert examples, "README's CLI block holds no metaplab command"
+    return examples
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(tmp_path, argv):
+    assert "--out" in argv
+    argv = list(argv)
+    argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    assert run(argv) == 0
+    assert nonfinite_outputs(tmp_path) == []
+
+
+def test_gaborscan_on_a_grid_that_is_not_self_dual_exits_3(tmp_path, capsys):
+    # the dense Fourier matrix goes through the same guards as apply
+    code = run(["gaborscan", "--n", "64", "--half-width", "3", "--operator", "fourier",
+                "--lattice", "0.375,0.5,2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "self-dual" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t", ["1e20", "1e300"])
+def test_check_tau_on_an_ill_conditioned_flow_exits_3(tmp_path, t, capsys):
+    # the inverse free flow is a shear of size 4 pi t; composing the
+    # transported field with it goes through the rescale conditioning guard
+    code = run(["evolve", "--n", "32", "--times", t, "--hamiltonian", "free",
+                "--check-tau", "0.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "condition number exceeds bound" in err and "Traceback" not in err
     assert nonfinite_outputs(tmp_path) == []
 
 

@@ -263,6 +263,13 @@ def test_dense_matrix_guards_like_apply():
         apply(A, gaussian(grid))
     with pytest.raises(SamplingError):
         dense_matrix(A, grid.axes[0])
+    # a grid that is not self-dual: the DFT does not map it onto itself
+    grid = default_grid(64, 3.0)
+    J = SymplecticMatrix(standard_J(1))
+    with pytest.raises(GridError, match="self-dual"):
+        apply(J, gaussian(grid))
+    with pytest.raises(GridError, match="self-dual"):
+        dense_matrix(J, grid.axes[0])
 
 
 @pytest.mark.parametrize("n, half_width", [(256, None), (96, None), (64, 3.0)])
