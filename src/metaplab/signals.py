@@ -23,7 +23,10 @@ Guards: each refusal is decided in one function.  The CLI exits 3 on
 - size: `_check_bytes`, an estimate from the shapes against `_BYTE_BUDGET`
   before anything is allocated; `GridError` (exit 3);
 - membership: `symplectic.is_symplectic` tests A and -J A^T J, so `inv()`
-  never refuses; `SymplecticError` (exit 2).
+  never refuses; `SymplecticError` (exit 2), except for the flows of
+  `symplectic.hamiltonian_flow`, which are symplectic in exact arithmetic:
+  one that overflows or fails the test in float64 is a `SamplingError`
+  (exit 3).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 import scipy.fft
 
 from ._threads import max_workers
-from .symplectic import _invertible
+from .symplectic import SamplingError, _invertible
 
 __all__ = [
     "Axis",
@@ -76,10 +79,6 @@ _BYTE_BUDGET = 256 * 2 ** 20
 
 class GridError(ValueError):
     """Shape or grid-compatibility violation."""
-
-
-class SamplingError(ValueError):
-    """A requested operation would alias on the current grid."""
 
 
 def _check_bytes(what: str, nbytes: int) -> None:

@@ -47,6 +47,11 @@ class SymplecticError(ValueError):
     pass
 
 
+class SamplingError(ValueError):
+    """A requested operation cannot be computed in floating point on the
+    current grid: it would alias, or a flow overflows."""
+
+
 def standard_J(n: int) -> np.ndarray:
     """The 2n x 2n standard symplectic form [[0, I], [-I, 0]]."""
     J = np.zeros((2 * n, 2 * n))
@@ -510,8 +515,21 @@ def _expm(G: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_flow(h: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
-    """Classical flow chi_t = expm(t G / 2pi); always lands in Sp(d, R)."""
-    return SymplecticMatrix(_expm((t / (2.0 * np.pi)) * h.generator()), 1e-8)
+    """Classical flow chi_t = expm(t G / 2pi), in Sp(d, R) in exact arithmetic.
+
+    SamplingError when the computed exponential overflows or fails the
+    membership test, as long or unstable flows do: the input is valid, but
+    the flow cannot be computed in float64.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _expm((t / (2.0 * np.pi)) * h.generator())
+        if np.all(np.isfinite(M)):
+            try:
+                return SymplecticMatrix(M, 1e-8)
+            except SymplecticError:
+                pass
+    raise SamplingError(f"the flow at t = {t!r} cannot be computed in float64: "
+                        "it overflows or fails the symplectic membership test")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import shlex
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,22 @@ def test_check_tau_on_an_ill_conditioned_flow_exits_3(tmp_path, t, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "condition number exceeds bound" in err and "Traceback" not in err
+    assert nonfinite_outputs(tmp_path) == []
+
+
+@pytest.mark.parametrize("hamiltonian, t", [("quad:-1,0,1", "1e5"), ("harmonic", "1e20"),
+                                            ("quad:0.5,0.1,1", "1e20")])
+def test_flow_that_float64_cannot_hold_exits_3(tmp_path, hamiltonian, t, capsys):
+    # the unstable flow's exponential overflows; the long flows come out of
+    # their squarings no longer symplectic: valid input, no computable flow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["evolve", "--n", "64", "--times", t, "--hamiltonian", hamiltonian,
+                    "--check-tau", "0.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "cannot be computed in float64" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err and not [w for w in caught if w.category is RuntimeWarning]
     assert nonfinite_outputs(tmp_path) == []
 
 

@@ -1,13 +1,20 @@
 """Serialization round trips, the expression grammar, and CLI behaviour."""
 
 import json
+import tempfile
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaplab.cli import main
 from metaplab.exprparse import ExprError, compile_expression
 from metaplab.serial import (
+    _K_LO,
+    _POW10,
     dumps_deterministic,
     field_csv,
     load_field,
@@ -20,7 +27,14 @@ from metaplab.serial import (
     signal_csv,
     write_csv,
 )
-from metaplab.signals import PhaseSpaceField, SamplingError, default_grid, gaussian, smooth_noise
+from metaplab.signals import (
+    PhaseSpaceField,
+    SamplingError,
+    default_grid,
+    gaussian,
+    sign_gaussian,
+    smooth_noise,
+)
 from metaplab.symplectic import tau_matrix
 from metaplab.wigner import wigner_cross
 
@@ -92,6 +106,82 @@ def test_field_csv_abs_column_is_the_scalar_abs(tmp_path, phi):
     field_csv(tmp_path / "f.csv", F)
     rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == [fmt17(abs(v)) for v in F.values.ravel()]
+
+
+# floats whose |x| 10^(16-e), computed in longdouble, lands within its error
+# bound of a rounding tie and on the wrong side of it (about 1 in 38,000
+# random bit patterns): only the tie test sends them to Python
+NEAR_TIES = ("-0x1.86e23eb219231p-733", "0x1.eb1f8a217c4f7p-328", "-0x1.7f5ffd9a99729p+393",
+             "0x1.68b0e96ac9be1p-710", "-0x1.895bbdc1672adp-504", "0x1.a7a48ffa6406dp-689",
+             "-0x1.4b504ba745e01p+477", "0x1.a3cbfd8403ec6p+991", "0x1.6f62727855844p-114",
+             "-0x1.43c350e84981bp-320")
+
+
+def _hard_floats(rng) -> np.ndarray:
+    """Finite floats where %.17g is easy to get wrong: random bit patterns,
+    subnormals, signed zeros, every power of ten and its two neighbours,
+    exact 17-digit ties m/8, near ties, and the decade and range edges."""
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64)
+    subnormal = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64) | (bits[:2000] & np.uint64(2 ** 63))
+    powers = 10.0 ** np.arange(-323, 309)
+    ties = rng.integers(8 * 10 ** 14, 8 * 10 ** 15, 3000) / 8.0
+    edges = [0.0, -0.0, 1e16, 1e17, 5e-324, 1.7976931348623157e308]
+    near_ties = [float.fromhex(h) for h in NEAR_TIES]
+    x = np.concatenate([bits.view(np.float64), subnormal.view(np.float64), powers, np.nextafter(powers, 0),
+                        np.nextafter(powers, np.inf), ties, -ties, near_ties, edges])
+    return x[np.isfinite(x)]
+
+
+def test_write_csv_is_percent_17g_on_hard_floats(tmp_path, rng):
+    x = _hard_floats(rng)
+    write_csv(tmp_path / "h.csv", ("v",), (x,))
+    assert (tmp_path / "h.csv").read_text().splitlines()[1:] == ["%.17g" % v for v in x.tolist()]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+def test_write_csv_is_percent_17g_on_any_finite_floats(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.csv"
+        write_csv(path, ("v",), (np.array(values, dtype=np.float64),))
+        assert path.read_text().splitlines()[1:] == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("rows", [0, 4095, 4096, 4097])
+def test_write_csv_mixed_columns_across_block_edges(tmp_path, rng, rows):
+    ints = rng.integers(-2 ** 63, 2 ** 63 - 1, rows)
+    flags = rng.random(rows) < 0.5
+    small = rng.integers(0, 256, rows).astype(np.uint8)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    write_csv(tmp_path / "m.csv", ("k", "flag", "u", "v"), (ints, flags, small, floats))
+    rows_text = zip(ints.tolist(), flags.tolist(), small.tolist(), floats.tolist())
+    assert (tmp_path / "m.csv").read_text() == "k,flag,u,v\n" + "".join("%d,%d,%d,%.17g\n" % r for r in rows_text)
+
+
+def test_csv_powers_of_ten_are_correctly_rounded():
+    # the exact digits of write_csv rest on each 10^k of this table being
+    # within half an ulp; where longdouble is float64 the entries past
+    # 1e308 are inf, and every entry of write_csv falls back to Python
+    half_ulp = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio()) / 2
+    for i, p in enumerate(_POW10):
+        if np.isfinite(p):
+            exact = Fraction(10) ** (_K_LO + i)
+            assert abs(Fraction(*p.as_integer_ratio()) - exact) <= half_ulp * exact, _K_LO + i
+
+
+def test_field_csv_traced_peak_stays_small(tmp_path):
+    # the text is built per block of rows: at N = 256 the file is 16 MB, and
+    # the traced peak stays near the field's own 1 MiB
+    grid = default_grid(256)
+    F = wigner_cross(sign_gaussian(grid), gaussian(grid))
+    field_csv(tmp_path / "warm.csv", F)
+    tracemalloc.start()
+    try:
+        field_csv(tmp_path / "f.csv", F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
