@@ -91,13 +91,21 @@ class SymbolGrid:
         if self.values is not None:
             return PhaseSpaceField(self.x_axis, self.xi_axis, self.values)
         X, Y = np.meshgrid(self.x_axis.points(), self.xi_axis.points(), indexing="ij")
-        return PhaseSpaceField(self.x_axis, self.xi_axis, np.asarray(self.func(X, Y), dtype=np.complex128))
+        return PhaseSpaceField(self.x_axis, self.xi_axis, self.eval(X, Y))
 
     def eval(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary broadcastable points; samples go through the
-        2-D interpolant in blocks of points, so work arrays stay O(block n)."""
+        2-D interpolant in blocks of points, so work arrays stay O(block n).
+
+        The callable runs with numpy's floating-point warnings off, and a nan
+        or inf among its values raises SamplingError.
+        """
         if self.func is not None:
-            return np.asarray(self.func(x, xi), dtype=np.complex128)
+            with np.errstate(all="ignore"):
+                vals = np.asarray(self.func(x, xi), dtype=np.complex128)
+            if not np.all(np.isfinite(vals)):
+                raise SamplingError("the symbol is not finite at every sample point")
+            return vals
         shape = np.broadcast(x, xi).shape
         xb = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
         yb = np.broadcast_to(np.asarray(xi, dtype=float), shape).ravel()
@@ -170,8 +178,8 @@ def _symbol_half_samples(a: SymbolGrid, ax: Axis) -> np.ndarray:
         raise GridError("symbol axes do not match the quantization axis")
     if a.func is not None:
         # `func` broadcasts: no coordinate grids; a smaller result is broadcast
-        vals = a.func(_half_points(ax)[:, None], a.xi_axis.points()[None, :])
-        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (2 * ax.n, a.xi_axis.n))
+        vals = a.eval(_half_points(ax)[:, None], a.xi_axis.points()[None, :])
+        return np.broadcast_to(vals, (2 * ax.n, a.xi_axis.n))
     half = shift_spectral(a.values, 0, a.x_axis, a.x_axis.step / 2)
     return np.stack([a.values, half], axis=1).reshape(2 * a.x_axis.n, -1)
 

@@ -39,6 +39,7 @@ from .symplectic import (
     SymplecticError,
     SymplecticMatrix,
     cohen_B,
+    is_totally_wigner_decomposable,
     sympl,
 )
 
@@ -57,6 +58,10 @@ __all__ = [
     "modulation_norm",
     "wiener_amalgam_norm",
 ]
+
+# fine rows per block of `stft_reduction`; each block multiplies only the
+# window band its kept entries reach
+_REDUCTION_ROWS = 128
 
 
 def _same_grid(f: GridSignal, g: GridSignal) -> Axis:
@@ -166,14 +171,31 @@ def wigner_A_covariant(form: CovariantForm, f: GridSignal, g: GridSignal) -> Pha
 def stft_reduction(A, f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     """Rescaled-window STFT route for totally Wigner-decomposable matrices.
 
-    Requires the right-regularity blocks (A23, A24 and A11, A12 invertible).
-    The STFT is evaluated on an oversampled time grid because the mapped
-    frequencies A23^{-1} xi run past the base grid's Nyquist rate.
+    Precondition: A = A_FT2 D_L (`is_totally_wigner_decomposable(A, 1e-9)`,
+    the tolerance `metaplectic` uses) with A23 and A24 invertible, so that
+    A11 and A12 are too; anything else raises SymplecticError.  For such A
+    the representation is an STFT with the window g rescaled by
+    beta = A24 / A23 and shifted by c x with c = A33 - A23 A34 / A24
+    (Cordero & Rodino, "Wigner analysis of operators. Part I").
+
+    The STFT is evaluated on a time grid refined by a factor p: the least
+    power of two, at least 2, that covers |A23^{-1}| and (1 + |beta|) / 2 +
+    1/2, the factors by which the mapped frequencies A23^{-1} xi and the
+    rescaled window's band run past the base grid's Nyquist rate.  Past
+    p = 8 it raises SymplecticError.
+
+    The window bank is zero outside the fundamental window, so the fine
+    rows are walked in blocks of `_REDUCTION_ROWS` and each block multiplies
+    only the band of columns its kept entries reach.  The phase tables stay
+    whole, built once per call: per-block tables lower the allocator's
+    thresholds and raise the page faults of every later call in the process.
     """
     A = sympl(A)
     b = BlockDecomposition.of(A)
     if b.d != 1:
         raise GridError("stft reduction implemented for d = 1")
+    if not is_totally_wigner_decomposable(A, 1e-9):
+        raise SymplecticError("matrix is not totally Wigner-decomposable: reduction undefined")
     a11, a12 = float(b[1, 1][0, 0]), float(b[1, 2][0, 0])
     a23, a24 = float(b[2, 3][0, 0]), float(b[2, 4][0, 0])
     a33, a34 = float(b[3, 3][0, 0]), float(b[3, 4][0, 0])
@@ -199,16 +221,24 @@ def stft_reduction(A, f: GridSignal, g: GridSignal) -> PhaseSpaceField:
     # windows back into the support at large |c x|)
     coeff = spectral_coefficients(g.values, 0, ax)
     E1 = _freq_phases(t_fine, ax, beta)
-    E2 = _freq_phases(ax.points(), ax, -beta * c_fac).T
-    G_sh = E1 @ (coeff[:, None] * E2)  # (fine_n, n)
-    pts = beta * (t_fine[:, None] - c_fac * ax.points()[None, :])
-    G_sh[(pts < -ax.half_width) | (pts >= ax.half_width)] = 0.0
-    P = f_fine[:, None] * np.conj(G_sh)
+    C2 = coeff[:, None] * _freq_phases(ax.points(), ax, -beta * c_fac).T
     E = _freq_phases(t_fine, ax, -1.0 / a23)
-    V = (ax.step / p) * (P.T @ E)  # (k, j)
+    V = np.zeros((n, n), dtype=np.complex128)  # (k, j)
+    for r0 in range(0, fine_n, _REDUCTION_ROWS):
+        rows = slice(r0, r0 + _REDUCTION_ROWS)
+        pts = beta * (t_fine[rows, None] - c_fac * ax.points()[None, :])
+        keep = (pts >= -ax.half_width) & (pts < ax.half_width)
+        cols = np.flatnonzero(keep.any(axis=0))
+        if cols.size == 0:
+            continue
+        band = slice(cols[0], cols[-1] + 1)
+        G = E1[rows] @ C2[:, band]
+        G[~keep[:, band]] = 0.0
+        P = f_fine[rows, None] * np.conj(G)
+        V[band] += P.T @ E[rows]
     pref = np.sqrt(abs(np.linalg.det(L_mat))) / abs(a23)
-    phase = _freq_phases(ax.points(), ax, a33 / a23)
-    return PhaseSpaceField(ax, ax.dual(), pref * phase * V)
+    V *= (ax.step / p) * pref * _freq_phases(ax.points(), ax, a33 / a23)
+    return PhaseSpaceField(ax, ax.dual(), V)
 
 
 class Representation(NamedTuple):

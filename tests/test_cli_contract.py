@@ -215,6 +215,24 @@ def test_flow_that_float64_cannot_hold_exits_3(tmp_path, hamiltonian, t, capsys)
     assert nonfinite_outputs(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n", "128", "--times", "0.05", "--sigma", "1/x"],
+    ["evolve", "--n", "128", "--times", "0.05", "--sigma", "sqrt(0-1-x^2)"],
+    ["gaborscan", "--n", "128", "--operator", "weyl:1/x", "--lattice", "0.5,0.5,3"],
+])
+def test_symbol_that_is_not_finite_on_the_grid_exits_3(tmp_path, argv, capsys):
+    # 1/x is infinite at x = 0 and sqrt(0-1-x^2) is nan everywhere; the
+    # symbol is sampled before any matrix or lattice is built
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "symbol is not finite" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err and not [w for w in caught if w.category is RuntimeWarning]
+    assert nonfinite_outputs(tmp_path) == []
+
+
 # config values for the fuzz, as (valid, bad): bad ones are out of range,
 # non-finite or of the wrong type; N stays at 16 or 32, so every run is small
 SIGNALS = (["gaussian", "hermite:2", "two-bump:1,1", "sign-gaussian"],

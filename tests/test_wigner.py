@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from test_signals import roll_dft, roll_upsample2
 
+from metaplab.metaplectic import random_applicable_matrix
 from metaplab.signals import (
     Axis,
     PhaseSpaceField,
+    default_grid,
     gaussian,
     hermite,
     phase_align,
@@ -15,8 +17,11 @@ from metaplab.signals import (
     translate_field,
 )
 from metaplab.symplectic import (
+    A_FT2,
+    D_L,
     BlockDecomposition,
     CovariantForm,
+    SymplecticError,
     cohen_B,
     shift_invertibility,
     stft_matrix,
@@ -237,9 +242,51 @@ def test_stft_reduction_matches_the_dense_tables(grid256, rng):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), tau
 
 
-def test_stft_reduction_rejects_non_right_regular(grid256, phi):
-    from metaplab.symplectic import SymplecticError
+# L in A = A_FT2 D_L, with A23 = L[0, 1], A24 = L[1, 1] and beta = A24 / A23
+DECOMPOSABLE_L = {
+    "beta_pos_p8": [[1.0, 0.2], [0.5, 0.3]],
+    "beta_neg_p4": [[0.5, 0.4], [0.3, -0.6]],
+    # beta = 4, c = 0.2: fine rows with |t| > 0.45 L keep no window entry,
+    # so at N = 64 the first and last of the four row blocks are empty
+    "empty_blocks_p8": [[0.2, 0.2], [0.0, 0.8]],
+}
 
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("L", DECOMPOSABLE_L.values(), ids=DECOMPOSABLE_L.keys())
+def test_stft_reduction_matches_the_dense_tables_off_the_tau_deck(n, L, rng):
+    # p n runs 96 to 512 rows: partial, whole and several row blocks
+    grid = default_grid(n)
+    f = smooth_noise(grid, rng)
+    g = gaussian(grid, center=0.5, freq=-0.75)
+    A = A_FT2(1) @ D_L(L)
+    want = dense_stft_reduction(A, f, g)
+    got = stft_reduction(A, f, g).values
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stft_reduction_rejects_matrices_that_are_not_decomposable():
+    # random chain matrices are never of the form A_FT2 D_L, yet some have
+    # the four blocks A11, A12, A23, A24 nonzero: a right-regularity check
+    # alone lets those through, and L is then singular and the field zero
+    rng = np.random.default_rng(3)
+    regular = 0
+    for n in (24, 64, 256):
+        grid = default_grid(n)
+        ax = grid.axes[0]
+        phi = gaussian(grid)
+        assert stft_reduction(stft_matrix(), phi, phi).values.any()
+        for _ in range(30):
+            A = random_applicable_matrix(rng, 2, (ax, ax))
+            b = BlockDecomposition.of(A)
+            regular += min(abs(b[i, j][0, 0]) for i, j in ((1, 1), (1, 2), (2, 3), (2, 4))) >= 1e-9
+            with pytest.raises(SymplecticError, match="not totally Wigner-decomposable"):
+                stft_reduction(A, phi, phi)
+    assert regular > 0
+
+
+def test_stft_reduction_rejects_non_right_regular(grid256, phi):
     with pytest.raises(SymplecticError):
         stft_reduction(tau_matrix(0.0), phi, phi)
 
